@@ -12,12 +12,22 @@ each block of size a contributes polynomial generators in degrees
 2, 4, ..., 2a, the complement contributes degrees 2, ..., 2c, and the
 fixed subspace contributes the factor 1.
 
-A finite part permuting identical blocks acts on the generators by
-permutation, commutes with d (the Chern images are symmetric in identical
-blocks, which is verified, not assumed), and rational cohomology of the
-disconnected quotient is the cohomology of the invariant subcomplex.  The
-invariant subcomplex is spanned by orbit sums of monomials, so the whole
-computation stays over the integers.
+A finite part permuting identical blocks acts on the polynomial generators
+by permuting whole leaf blocks, and rational cohomology of the disconnected
+quotient is the cohomology of the invariant subcomplex, which is spanned by
+orbit sums O(x) of monomials.  The group is never listed.  Each orbit is
+named by its canonical representative, the lexicographically least image,
+found by walking the wreath tree over the leaf variables: at a ``Wreath``
+node each copy's segment is canonicalized recursively and the segments are
+sorted; ``Bunch`` positions and complement variables stay in place.  A
+basis row is d applied to the representative x0 alone, each term mapped to
+its representative y0 and the coefficients added per target.  Since d
+commutes with the group, this is the exact matrix of d on orbit sums with
+row x0 multiplied by |Stab x0| and column y0 divided by |Stab y0|; nonzero
+row and column scalings leave the rank unchanged, so the whole computation
+stays over the integers.  That d commutes with the group is verified, not
+assumed, on generators only: the adjacent transpositions of copies at every
+``Wreath`` node must fix every Chern image.
 
 Everything is graded and computed degree by degree on explicit monomial
 bases with exact sparse elimination; there is no floating point and no
@@ -27,14 +37,15 @@ engine so the two can cross-check each other.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from operator import add
 
 from .cache import memo
 from .linalg import sparse_rank
 from .orbitspace import (
     Block,
     Bunch,
-    OrbitDescriptor,
     Wreath,
     molien_poincare,
     real_dimension,
@@ -87,58 +98,49 @@ def _poly_mul(p, q, nvars):
     return {m: c for m, c in out.items() if c}
 
 
-def _unit_leaf_slots(u, acc):
+def _finite_part(u):
+    """(width, canon, swaps) of a unit over its leaf variables, in tree order.
+
+    ``canon`` maps an exponent tuple whose first ``width`` entries belong to
+    ``u`` to its least image under the finite part of ``u``, leaving any
+    later entries alone; it is None when ``u`` has no finite part.  Each
+    swap ``(a, w)`` exchanges the segments [a, a+w) and [a+w, a+2w): the
+    adjacent transpositions of copies, which generate the finite part.
+    """
     if isinstance(u, Block):
-        acc.append(u)
-    elif isinstance(u, Wreath):
-        for _ in range(u.copies):
-            _unit_leaf_slots(u.inner, acc)
-    elif isinstance(u, Bunch):
-        for v in u.units:
-            _unit_leaf_slots(v, acc)
-
-
-def _unit_leaf_count(u):
-    acc = []
-    _unit_leaf_slots(u, acc)
-    return len(acc)
-
-
-def _unit_automorphisms(u):
-    """All leaf-slot permutations of the finite part of a unit, as tuples."""
-    if isinstance(u, Block):
-        return [(0,)]
-    if isinstance(u, Bunch):
-        parts = [_unit_automorphisms(v) for v in u.units]
-        sizes = [_unit_leaf_count(v) for v in u.units]
-        out = []
-        for combo in itertools.product(*parts):
-            perm = []
-            offset = 0
-            for p, size in zip(combo, sizes):
-                perm.extend(offset + i for i in p)
-                offset += size
-            out.append(tuple(perm))
-        return out
+        return u.size, None, []
     if isinstance(u, Wreath):
-        inner = _unit_automorphisms(u.inner)
-        size = _unit_leaf_count(u.inner)
-        out = []
-        for sigma in itertools.permutations(range(u.copies)):
-            for combo in itertools.product(inner, repeat=u.copies):
-                perm = [0] * (u.copies * size)
-                for i in range(u.copies):
-                    tau = combo[i]
-                    for j in range(size):
-                        perm[i * size + j] = sigma[i] * size + tau[j]
-                out.append(tuple(perm))
-        return out
-    raise TypeError("unknown unit %r" % (u,))
+        w, inner, inner_swaps = _finite_part(u.inner)
+        bounds = [(i * w, (i + 1) * w) for i in range(u.copies)]
+        swaps = [(a, w) for a, _ in bounds[:-1]]
+        swaps += [(a + s, sw) for a, _ in bounds for s, sw in inner_swaps]
+
+        def canon(m):
+            parts = sorted(m[a:b] if inner is None else inner(m[a:b]) for a, b in bounds)
+            return tuple(itertools.chain.from_iterable(parts)) + m[bounds[-1][1]:]
+
+        return u.copies * w, canon, swaps
+    width, pieces, swaps = 0, [], []
+    for v in u.units:
+        w, f, vs = _finite_part(v)
+        if f is not None:
+            pieces.append((width, width + w, f))
+        swaps += [(width + s, sw) for s, sw in vs]
+        width += w
+    if not pieces:
+        return width, None, swaps
+
+    def canon(m):
+        out = list(m)
+        for a, b, f in pieces:
+            out[a:b] = f(m[a:b])
+        return tuple(out)
+
+    return width, canon, swaps
 
 
-def _descriptor_automorphisms(d):
-    """Finite-part elements as permutations of the leaf blocks of ``d``."""
-    return _unit_automorphisms(Bunch(tuple(d.units))) if d.units else [()]
+def _swap(mono, a, w):
+    return mono[:a] + mono[a + w:a + 2 * w] + mono[a:a + w] + mono[a + 2 * w:]
 
 
 class KoszulComplex:
@@ -152,28 +154,22 @@ class KoszulComplex:
 
         # polynomial generators: per leaf block, then the complement
         self.var_degrees = []
-        self.var_owner = []  # (leaf index, chern index) or ('c', j)
         leaves = d.blocks()
-        self.leaf_sizes = [b.size for b in leaves]
         self.leaf_var_start = []
-        for li, b in enumerate(leaves):
+        for b in leaves:
             self.leaf_var_start.append(len(self.var_degrees))
-            for j in range(1, b.size + 1):
-                self.var_degrees.append(2 * j)
-                self.var_owner.append((li, j))
+            self.var_degrees.extend(2 * j for j in range(1, b.size + 1))
         self.complement_var_start = len(self.var_degrees)
-        for j in range(1, d.complement + 1):
-            self.var_degrees.append(2 * j)
-            self.var_owner.append(("c", j))
+        self.var_degrees.extend(2 * j for j in range(1, d.complement + 1))
         self.nvars = len(self.var_degrees)
 
         self.chern = self._chern_images(leaves)
-        self.group = self._variable_permutations(leaves)
-        if len(self.group) > 1:
-            self._check_equivariance()
+        # canonical(m): least monomial in the orbit of m; generators: (a, w) swaps
+        _, canon, self.generators = _finite_part(Bunch(tuple(d.units)))
+        self.canonical = functools.cache(canon) if canon else (lambda mono: mono)
+        self._check_equivariance()
 
         self._mono_cache = {}
-        self._orbit_min_cache = {}
         self._ext_list = None
         self._rank_cache = {}
         self._basis_cache = {}
@@ -212,37 +208,13 @@ class KoszulComplex:
     def _mono_degree(self, mono):
         return sum(e * self.var_degrees[i] for i, e in enumerate(mono) if e)
 
-    def _variable_permutations(self, leaves):
-        perms = set()
-        for leaf_perm in _descriptor_automorphisms(self.descriptor):
-            var_perm = list(range(self.nvars))
-            for li, target in enumerate(leaf_perm):
-                if self.leaf_sizes[li] != self.leaf_sizes[target]:
-                    raise InvariantViolation("finite part permutes unequal blocks")
-                src = self.leaf_var_start[li]
-                dst = self.leaf_var_start[target]
-                for j in range(self.leaf_sizes[li]):
-                    var_perm[src + j] = dst + j
-            perms.add(tuple(var_perm))
-        return sorted(perms)
-
     def _check_equivariance(self):
-        for perm in self.group:
+        for a, w in self.generators:
             for rho in self.chern:
-                moved = {}
-                for mono, c in rho.items():
-                    moved[self._apply_perm(mono, perm)] = c
-                if moved != rho:
+                if {_swap(mono, a, w): c for mono, c in rho.items()} != rho:
                     raise InvariantViolation(
                         "finite part does not commute with the differential"
                     )
-
-    def _apply_perm(self, mono, perm):
-        out = [0] * self.nvars
-        for i, e in enumerate(mono):
-            if e:
-                out[perm[i]] = e
-        return tuple(out)
 
     # -- bases ------------------------------------------------------------
 
@@ -271,13 +243,6 @@ class KoszulComplex:
         self._mono_cache[key] = out
         return out
 
-    def _orbit_min(self, mono):
-        got = self._orbit_min_cache.get(mono)
-        if got is None:
-            got = min(self._apply_perm(mono, p) for p in self.group)
-            self._orbit_min_cache[mono] = got
-        return got
-
     def _exterior(self):
         if self._ext_list is None:
             gens = list(range(1, self.k + 1))
@@ -288,26 +253,28 @@ class KoszulComplex:
             self._ext_list = subsets
         return self._ext_list
 
+    def _orbits(self, invariants):
+        return invariants and bool(self.generators)
+
     def basis(self, degree, invariants=True):
         """Basis of the degree-``degree`` piece: pairs (exterior tuple, monomial).
 
-        With ``invariants`` (and a nontrivial finite part) monomials are orbit
-        representatives and each pair stands for the orbit sum.
+        With ``invariants`` (and a nontrivial finite part) monomials are
+        canonical representatives and each pair stands for the orbit sum.
         """
-        key = (degree, invariants and len(self.group) > 1)
+        key = (degree, self._orbits(invariants))
         got = self._basis_cache.get(key)
         if got is not None:
             return got
-        use_orbits = invariants and len(self.group) > 1
+        canon = self.canonical if key[1] else None
         out = []
         for ext, edeg in self._exterior():
             rest = degree - edeg
             if rest < 0 or rest % 2:
                 continue
             for mono in self._monomials(rest):
-                if use_orbits and self._orbit_min(mono) != mono:
-                    continue
-                out.append((ext, mono))
+                if canon is None or canon(mono) == mono:
+                    out.append((ext, mono))
         if len(out) > self.basis_budget:
             raise ResourceLimit(degree, len(out), self.basis_budget)
         self._basis_cache[key] = out
@@ -316,38 +283,36 @@ class KoszulComplex:
     # -- the differential ---------------------------------------------------
 
     def _image_rows(self, degree, invariants):
-        """Rows of d: C^degree -> C^(degree+1) in the chosen basis pair."""
-        use_orbits = invariants and len(self.group) > 1
+        """Rows of d: C^degree -> C^(degree+1) in the chosen basis pair.
+
+        On orbit sums a row is d of the representative, with every term
+        moved to its representative: a rescaling of the exact matrix that
+        keeps its rank (see the module docstring).
+        """
+        canon = self.canonical if self._orbits(invariants) else None
         src = self.basis(degree, invariants)
         tgt = self.basis(degree + 1, invariants)
         tgt_index = {b: i for i, b in enumerate(tgt)}
         rows = []
         for ext, mono in src:
             row = {}
-            expansion = [mono] if not use_orbits else self._orbit_elements(mono)
-            for x in expansion:
-                for pos, i in enumerate(ext):
-                    rho = self.chern[i - 1]
-                    if not rho:
-                        continue
-                    sign = -1 if pos % 2 else 1
-                    new_ext = ext[:pos] + ext[pos + 1:]
-                    for mu, c in rho.items():
-                        tm = tuple(x[v] + mu[v] for v in range(self.nvars))
-                        if use_orbits and self._orbit_min(tm) != tm:
-                            continue
-                        j = tgt_index.get((new_ext, tm))
-                        if j is None:
-                            continue
-                        row[j] = row.get(j, 0) + sign * c
+            for pos, i in enumerate(ext):
+                rho = self.chern[i - 1]
+                if not rho:
+                    continue
+                sign = -1 if pos % 2 else 1
+                new_ext = ext[:pos] + ext[pos + 1:]
+                for mu, c in rho.items():
+                    tm = tuple(map(add, mono, mu))
+                    if canon is not None:
+                        tm = canon(tm)
+                    j = tgt_index[(new_ext, tm)]
+                    row[j] = row.get(j, 0) + sign * c
             rows.append({j: v for j, v in row.items() if v})
         return rows
 
-    def _orbit_elements(self, mono):
-        return sorted({self._apply_perm(mono, p) for p in self.group})
-
     def differential_rank(self, degree, invariants=True):
-        key = (degree, invariants and len(self.group) > 1)
+        key = (degree, self._orbits(invariants))
         got = self._rank_cache.get(key)
         if got is None:
             got = sparse_rank(self._image_rows(degree, invariants))
@@ -371,8 +336,6 @@ class KoszulComplex:
     def verify_d_squared(self, degrees):
         """Check d(d(b)) == 0 on every basis element in the given degrees."""
         for d in degrees:
-            src = self.basis(d, invariants=False)
-            mid = self.basis(d + 1, invariants=False)
             rows = self._image_rows(d, invariants=False)
             rows_next = self._image_rows(d + 1, invariants=False)
             for row in rows:
@@ -382,7 +345,6 @@ class KoszulComplex:
                         acc[j2] = acc.get(j2, 0) + v * v2
                 if any(acc.values()):
                     raise InvariantViolation("d^2 != 0 in degree %d" % d)
-        del src, mid
         return True
 
 

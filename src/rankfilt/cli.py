@@ -19,6 +19,7 @@ JSON config file via ``--config`` or RANKFILT_CONFIG.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -39,7 +40,6 @@ ENGINE_VERSION = "rankfilt-0.1.0"
 
 CONFIG_DEFAULTS = {
     "default_cutoff": None,  # None: per-descriptor default inside the engine
-    "cutoff_cap": cartan.DEFAULT_CUTOFF_CAP,
     "basis_budget": cartan.DEFAULT_BASIS_BUDGET,
     "m_max": spectra.DEFAULT_M_MAX,
     "k_cap": spectra.DEFAULT_K_CAP,
@@ -67,7 +67,13 @@ def load_config(path):
 
 
 class ResultCache:
-    """Single-document JSON cache of polynomial computations."""
+    """Single-document JSON cache of polynomial computations.
+
+    Entries written by another engine version are dropped on load, so an
+    engine change never serves old values.  Saving writes a temporary file
+    beside the cache and renames it over the old one, so a crash leaves
+    either the old document or the new one, never a torn file.
+    """
 
     def __init__(self, path):
         self.path = path
@@ -77,13 +83,14 @@ class ResultCache:
             try:
                 with open(path) as fh:
                     doc = json.load(fh)
-                if isinstance(doc, dict) and isinstance(doc.get("entries"), dict):
-                    self.entries = doc["entries"]
-                else:
+                if not isinstance(doc, dict) or not isinstance(doc.get("entries"), dict):
                     raise ValueError("unexpected cache layout")
+                self.entries = {
+                    key: entry for key, entry in doc["entries"].items()
+                    if isinstance(entry, dict) and entry.get("engine_version") == ENGINE_VERSION
+                }
             except (OSError, ValueError) as exc:
                 print("warning: ignoring cache %s (%s)" % (path, exc), file=sys.stderr)
-                self.entries = {}
 
     @staticmethod
     def key(descriptor, engine, cutoff):
@@ -112,11 +119,15 @@ class ResultCache:
         if not self.path or not self.dirty:
             return
         doc = {"version": 1, "engine_version": ENGINE_VERSION, "entries": self.entries}
+        tmp = "%s.%d.tmp" % (self.path, os.getpid())
         try:
-            with open(self.path, "w") as fh:
+            with open(tmp, "w") as fh:
                 json.dump(doc, fh, sort_keys=True, indent=1)
                 fh.write("\n")
+            os.replace(tmp, self.path)
         except OSError as exc:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
             print("warning: could not write cache %s (%s)" % (self.path, exc), file=sys.stderr)
 
 

@@ -1,9 +1,12 @@
 """Koszul engine against classical closed forms and the Molien engine."""
 
+import itertools
+
 import pytest
 
 from rankfilt.cartan import (
     EngineMismatch,
+    InvariantViolation,
     KoszulComplex,
     ResourceLimit,
     cartan_cohomology,
@@ -18,6 +21,7 @@ from rankfilt.orbitspace import (
     Wreath,
     flag_poincare_oracle,
     molien_poincare,
+    parse_descriptor,
 )
 from rankfilt.poly import Poly, prod
 
@@ -204,3 +208,124 @@ def test_concurrent_evaluation_is_consistent():
     assert not errors
     for slot in range(1, 4):
         assert results[slot] == results[0]
+
+
+# -- the finite part: canonical representatives ------------------------------
+
+
+def _leaf_permutations(u):
+    """Every element of the finite part of a unit, as a permutation of its leaves."""
+    if isinstance(u, Block):
+        return [(0,)]
+    if isinstance(u, Wreath):
+        inner = _leaf_permutations(u.inner)
+        n = len(inner[0])
+        return [
+            tuple(sigma[i] * n + tau[i][j] for i in range(u.copies) for j in range(n))
+            for sigma in itertools.permutations(range(u.copies))
+            for tau in itertools.product(inner, repeat=u.copies)
+        ]
+    out = []
+    for combo in itertools.product(*(_leaf_permutations(v) for v in u.units)):
+        perm, offset = [], 0
+        for p in combo:
+            perm.extend(offset + i for i in p)
+            offset += len(p)
+        out.append(tuple(perm))
+    return out
+
+
+def test_canonical_is_group_minimum():
+    for text in [
+        "U(5)/S2wrS2wr(1)x(1)",
+        "U(6)/S3wrS2wr(1)",
+        "U(4)/S2wr{(1)x(1)}",
+        "U(6)/S2wr(2)xS2wr(1)",
+        "U(7)/S2wr(1,2)xU(3)",
+    ]:
+        kc = KoszulComplex(parse_descriptor(text))
+        leaves = kc.descriptor.blocks()
+        starts = kc.leaf_var_start
+        group = _leaf_permutations(Bunch(kc.descriptor.units))
+        assert len(set(group)) == len(group) > 1, text
+
+        def act(mono, perm):
+            out = list(mono)
+            for li, target in enumerate(perm):
+                for j in range(leaves[li].size):
+                    out[starts[target] + j] = mono[starts[li] + j]
+            return tuple(out)
+
+        for degree in range(0, 9, 2):
+            for mono in kc._monomials(degree):
+                assert kc.canonical(mono) == min(act(mono, g) for g in group), (text, mono)
+
+
+def _unit_lists(n):
+    """Tuples of multiplicity-one units of total weight n (with repeats)."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for u in _units(first):
+            for rest in _unit_lists(n - first):
+                yield (u,) + rest
+
+
+def _units(n):
+    yield Block(n)
+    for copies in range(2, n + 1):
+        if n % copies == 0:
+            for inner in _unit_lists(n // copies):
+                yield Wreath(inner[0] if len(inner) == 1 else Bunch(inner), copies)
+
+
+def test_invariant_dims_match_molien_with_finite_part():
+    seen = {}
+    for k in range(1, 6):
+        for weight in range(1, k + 1):
+            for units in _unit_lists(weight):
+                d = OrbitDescriptor(k, units, k - weight).canonicalize()
+                if "wr" in d.canonical_string():
+                    seen[d.canonical_string()] = d
+    assert len(seen) > 20
+    cutoff = 12
+    for text, d in seen.items():
+        exact = molien_poincare(d)
+        got = KoszulComplex(d).cohomology_dims(cutoff)
+        assert got == [exact[i] for i in range(cutoff + 1)], text
+
+
+def test_broken_symmetry_is_caught_on_generators():
+    class Lopsided(KoszulComplex):
+        """Adds the product of the first Chern roots of some leaves to a Chern image."""
+
+        broken = (0,)
+
+        def _chern_images(self, leaves):
+            chern = super()._chern_images(leaves)
+            mono = [0] * self.nvars
+            for leaf in self.broken:
+                mono[self.leaf_var_start[leaf]] = 1
+            rho = chern[len(self.broken) - 1] = dict(chern[len(self.broken) - 1])
+            rho[tuple(mono)] = rho.get(tuple(mono), 0) + 1
+            return chern
+
+    cases = [
+        # every leaf of a nested wreath is moved by some generator
+        ("U(6)/S3wrS2wr(1)", [(leaf,) for leaf in range(6)]),
+        # fixed by the first transposition of copies, not by the second
+        ("U(3)/S3wr(1)", [(0, 1)]),
+        # fixed by the outer swap, not by the inner ones
+        ("U(4)/S2wrS2wr(1)", [(0, 2)]),
+    ]
+    for text, breaks in cases:
+        d = parse_descriptor(text)
+        KoszulComplex(d)
+        for broken in breaks:
+            Lopsided.broken = broken
+            with pytest.raises(InvariantViolation):
+                Lopsided(d)
+    # a block outside every wreath may be lopsided
+    Lopsided.broken = (0,)
+    Lopsided(parse_descriptor("U(5)/S2wrS2wr(1)x(1)"))

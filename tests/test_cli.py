@@ -160,3 +160,35 @@ def test_env_cache_path(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("RANKFILT_CACHE", str(cache))
     code, out, _ = run(capsys, "poincare", "U(2)/[(1)x(1)]")
     assert code == 0 and cache.exists()
+
+
+def test_stale_cache_entry_is_recomputed(capsys, tmp_path):
+    cache = tmp_path / "cache.json"
+    args = ("poincare", "U(3)/(2)x(1)", "--cache", str(cache))
+    code, fresh, _ = run(capsys, *args)
+    assert code == 0 and fresh.strip() == "1 + t^2 + t^4"
+    # the same key, written by another engine version with a wrong value
+    doc = json.loads(cache.read_text())
+    (key,) = doc["entries"]
+    doc["entries"][key].update(value={"0": 1, "2": 5}, engine_version="rankfilt-0.0.0")
+    cache.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, *args)
+    assert code == 0 and out == fresh
+    entry = json.loads(cache.read_text())["entries"][key]
+    assert entry["engine_version"] == cli.ENGINE_VERSION
+    assert entry["value"] == {"0": 1, "2": 1, "4": 1}
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+
+
+def test_truncated_cache_is_ignored(capsys, tmp_path):
+    cache = tmp_path / "cache.json"
+    args = ("poincare", "U(3)/(2)x(1)", "--cache", str(cache))
+    code, fresh, err = run(capsys, *args)
+    assert code == 0 and not err
+    text = cache.read_text()
+    cache.write_text(text[: len(text) // 2])
+    code, out, err = run(capsys, *args)
+    assert code == 0 and out == fresh
+    assert "warning: ignoring cache" in err
+    # the recomputed value replaced the torn document
+    assert json.loads(cache.read_text())["entries"]
