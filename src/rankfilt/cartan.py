@@ -348,11 +348,6 @@ class KoszulComplex:
         return True
 
 
-def invariant_dims(complex_, cutoff):
-    """Graded dimensions of the finite-part-invariant cohomology of a complex."""
-    return complex_.cohomology_dims(cutoff, invariants=True)
-
-
 def cartan_cohomology(descriptor, cutoff, basis_budget=DEFAULT_BASIS_BUDGET):
     """Poincare polynomial of U(k)/H through ``cutoff`` via the Koszul model.
 
@@ -370,10 +365,10 @@ def cartan_cohomology(descriptor, cutoff, basis_budget=DEFAULT_BASIS_BUDGET):
     return memo.get_or_compute(key, compute)
 
 
-def default_cutoff(descriptor, cap=DEFAULT_CUTOFF_CAP):
+def default_cutoff(descriptor):
     """Twice the real dimension of the orbit, capped: past the dimension the
     cohomology is zero, so the factor two is pure safety margin."""
-    return min(max(2 * real_dimension(descriptor), 0), cap)
+    return min(max(2 * real_dimension(descriptor), 0), DEFAULT_CUTOFF_CAP)
 
 
 def poincare(descriptor, cutoff=None, engine="auto", basis_budget=DEFAULT_BASIS_BUDGET):

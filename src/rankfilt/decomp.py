@@ -2,12 +2,17 @@
 
 A decomposition of C^m into pairwise orthogonal nonzero subspaces is
 recorded up to the unitary action by the multiset of its part dimensions
-(a DecompositionType); it is proper when it has at least two parts.  A
-chain of decompositions, each refining the next, is recorded by a nested
+(a DecompositionType); it is proper when it has at least two parts.  The
+complex of proper decompositions is connected exactly when its types are
+linked by merging two parts at a time: any coarsening is such a run of
+pair merges, and its intermediate types are proper.
+
+A chain of decompositions, each refining the next, is recorded by a nested
 tree (a ChainType): the root is C^m, the root's children are the parts of
 the coarsest decomposition, and each level refines the one above, so part
 counts strictly increase downward.  Unary nodes are kept so that the tree
-levels match the prescribed component counts exactly.
+levels match the prescribed component counts exactly, and every leaf sits
+on the finest level.
 
 For a subset U of {2, ..., m} the cube vertex X(U) is the space of chains
 whose level component counts are the elements of U; it is a finite disjoint
@@ -65,27 +70,16 @@ class DecompositionType:
     def is_proper(self):
         return len(self.parts) >= 2
 
-    def coarsenings(self):
-        """Proper types obtained by merging the parts along a set partition."""
-        out = set()
-        for grouping in _set_partitions(list(self.parts)):
-            if len(grouping) < 2:
-                continue
-            merged = DecompositionType.of(sum(g) for g in grouping)
-            if merged.parts != self.parts:
-                out.add(merged)
-        return out
-
-
-def _set_partitions(items):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-        yield [[first]] + part
+    def merges(self):
+        """Proper types reached by merging two parts; none below three parts."""
+        ps = self.parts
+        if len(ps) < 3:
+            return set()
+        return {
+            DecompositionType.of(ps[:i] + ps[i + 1:j] + ps[j + 1:] + (ps[i] + ps[j],))
+            for i in range(len(ps))
+            for j in range(i + 1, len(ps))
+        }
 
 
 def _partitions_into(n, parts, largest=None):
@@ -121,31 +115,31 @@ def connectivity(m):
     The orbit-incidence graph has the proper types as vertices and an edge
     whenever one type coarsens to another; since each orbit is a connected
     homogeneous space, graph connectivity decides connectivity of the
-    complex.  For m = 1 the complex is empty (the suspension is just the
-    two-point sphere) and the answer is False.
+    complex.  The search follows pair merges only, which gives the same
+    components: a coarsening of v to a proper w is a run of pair merges
+    whose intermediate types have at least as many parts as w, so every
+    step stays proper.  For m = 1 the complex is empty (the suspension is
+    just the two-point sphere) and the answer is False.
     """
     if m < 1:
         raise ContractViolation("need m >= 1")
-    vertices = set()
-    for parts in range(2, m + 1):
-        vertices |= enumerate_decomposition_types(m, parts)
-    if not vertices:
+    adjacent = {
+        v: set() for parts in range(2, m + 1) for v in enumerate_decomposition_types(m, parts)
+    }
+    for v in adjacent:
+        for w in v.merges():
+            adjacent[v].add(w)
+            adjacent[w].add(v)
+    if not adjacent:
         return False
-    start = next(iter(vertices))
+    start = next(iter(adjacent))
     seen = {start}
     queue = [start]
     while queue:
-        v = queue.pop()
-        for w in v.coarsenings():
-            if w in vertices and w not in seen:
-                seen.add(w)
-                queue.append(w)
-        # refinements: any vertex that coarsens to v
-        for w in vertices - seen:
-            if v in w.coarsenings():
-                seen.add(w)
-                queue.append(w)
-    return seen == vertices
+        for w in adjacent[queue.pop()] - seen:
+            seen.add(w)
+            queue.append(w)
+    return len(seen) == len(adjacent)
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +153,6 @@ def _canonical_node(dim, children):
     return (dim, tuple(sorted(children, reverse=True)))
 
 
-def _node_depth(node):
-    dim, children = node
-    return 0 if not children else 1 + max(_node_depth(c) for c in children)
-
-
 @dataclass(frozen=True)
 class ChainType:
     """Canonical nested tree of a chain of decompositions of C^m."""
@@ -172,8 +161,6 @@ class ChainType:
     root: tuple
 
     def __post_init__(self):
-        if self.root != _canon_tree(self.root):
-            raise ContractViolation("chain tree is not in canonical form")
         if self.root[0] != self.m:
             raise ContractViolation("root dimension differs from ambient dimension")
         _check_levels(self.root)
@@ -184,28 +171,11 @@ class ChainType:
 
     def level_counts(self):
         """Component counts per level, top (coarsest) to bottom (finest)."""
-        counts = []
-        level = [self.root]
-        while True:
-            children = [c for node in level for c in node[1]]
-            if not children:
-                return counts
-            counts.append(len(children))
-            level = children
+        return [len(level) for level in _levels(self.root)][1:]
 
     def leaves(self):
-        out = []
-
-        def rec(node):
-            dim, children = node
-            if not children:
-                out.append(dim)
-            else:
-                for c in children:
-                    rec(c)
-
-        rec(self.root)
-        return out
+        *_, finest = _levels(self.root)
+        return [dim for dim, _ in finest]
 
     def append_lines(self):
         """Refine the finest level by the full line decomposition."""
@@ -216,11 +186,11 @@ class ChainType:
                 return (dim, tuple([(1, ())] * dim))
             return _canonical_node(dim, tuple(rec(c) for c in children))
 
-        return ChainType(self.m, _canon_tree(rec(self.root)))
+        return ChainType(self.m, rec(self.root))
 
     def strip_finest(self):
         """Remove the finest level; inverse to append_lines when that level is lines."""
-        depth = _node_depth(self.root)
+        depth = len(self.level_counts())
         if depth == 0:
             raise ContractViolation("empty chain has no finest level")
 
@@ -230,7 +200,7 @@ class ChainType:
                 return (dim, ())
             return _canonical_node(dim, tuple(rec(c, d - 1) for c in children))
 
-        return ChainType(self.m, _canon_tree(rec(self.root, depth)))
+        return ChainType(self.m, rec(self.root, depth))
 
     def stabilizer_units(self):
         """Isotropy structure: leaf blocks under the tree's wreath symmetry."""
@@ -245,21 +215,34 @@ def _canon_tree(node):
     return _canonical_node(dim, tuple(_canon_tree(c) for c in children))
 
 
-def _check_levels(root):
+def _levels(root):
+    """Node lists of the tree's levels, from the root down to the leaves."""
     level = [root]
-    prev = 1
-    while True:
-        children = []
+    while level:
+        yield level
+        level = [c for _, children in level for c in children]
+
+
+def _check_levels(root):
+    """Validate a chain tree in one walk over its levels.
+
+    Children sorted descending at every node is the same as the tree being
+    its own canonical form.  Every leaf must sit on the finest level, so
+    that each level is one decomposition with the level's count of parts.
+    """
+    prev = 0
+    for level in _levels(root):
+        if len(level) <= prev:
+            raise ContractViolation("component counts must strictly increase downward")
+        prev = len(level)
+        leaves = sum(1 for _, kids in level if not kids)
+        if 0 < leaves < len(level):
+            raise ContractViolation("leaves must all sit on the finest level")
         for dim, kids in level:
+            if kids != tuple(sorted(kids, reverse=True)):
+                raise ContractViolation("chain tree is not in canonical form")
             if kids and sum(c[0] for c in kids) != dim:
                 raise ContractViolation("children dimensions do not sum to the node dimension")
-            children.extend(kids)
-        if not children:
-            return
-        if len(children) <= prev:
-            raise ContractViolation("component counts must strictly increase downward")
-        prev = len(children)
-        level = children
 
 
 def _node_unit(node):
@@ -285,13 +268,13 @@ def enumerate_chain_types(m, subset):
 
     ``subset`` is any subset of {2, ..., m}; its elements, in increasing
     order, are the part counts from the coarsest level down.  The empty
-    subset yields the single empty chain.
+    subset yields the single empty chain.  The types come as a tuple sorted
+    by tree; every tree ``_forests`` builds is already canonical.
     """
     subset = sorted(set(subset))
     if any(not 2 <= u <= m for u in subset):
         raise ContractViolation("subset must lie in {2, ..., %d}" % m)
-    forests = _forests((m,), tuple(subset))
-    return {ChainType.of(m, forest[0]) for forest in forests}
+    return tuple(ChainType(m, forest[0]) for forest in _forests((m,), tuple(subset)))
 
 
 def _forests(dims, counts):
@@ -480,7 +463,7 @@ def cube_report(m, l=1, k=None, cutoff=None, basis_budget=cartan.DEFAULT_BASIS_B
     vertices = {}
     for subset in _subsets(range(2, m + 1)):
         chains = []
-        for c in sorted(enumerate_chain_types(m, subset), key=lambda c: c.root):
+        for c in enumerate_chain_types(m, subset):
             desc = stabilizer(c, l, k)
             chains.append((c, desc, vertex_poly(desc)))
         vertices[subset] = CubeVertex(subset, tuple(chains))

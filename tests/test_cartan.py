@@ -11,7 +11,6 @@ from rankfilt.cartan import (
     ResourceLimit,
     cartan_cohomology,
     default_cutoff,
-    invariant_dims,
     poincare,
 )
 from rankfilt.orbitspace import (
@@ -98,13 +97,13 @@ def test_invariant_dims_examples():
     # trivial finite part: same as the plain computation
     flag = OrbitDescriptor(2, (Block(1), Block(1)), 0)
     kc = KoszulComplex(flag)
-    assert invariant_dims(kc, 6) == kc.cohomology_dims(6, invariants=False)
+    assert kc.cohomology_dims(6, invariants=True) == kc.cohomology_dims(6, invariants=False)
 
     pairs = KoszulComplex(OrbitDescriptor(2, (Wreath(Block(1), 2),), 0))
-    assert invariant_dims(pairs, 10) == [1] + [0] * 10
+    assert pairs.cohomology_dims(10, invariants=True) == [1] + [0] * 10
 
     mixed = KoszulComplex(OrbitDescriptor(3, (Wreath(Block(1), 2), Block(1)), 0))
-    dims = invariant_dims(mixed, 8)
+    dims = mixed.cohomology_dims(8, invariants=True)
     assert dims == [1, 0, 1, 0, 1, 0, 0, 0, 0]
 
 

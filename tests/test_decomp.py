@@ -1,6 +1,7 @@
 """Decomposition types, chain trees, stabilizers, and cube verification."""
 
 import json
+from itertools import combinations
 
 import pytest
 
@@ -56,10 +57,61 @@ def test_tensor_counts_multiply():
     assert out.ambient == a.ambient * b.ambient
 
 
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+        yield [[first]] + part
+
+
+def _coarsenings(v):
+    """Proper types other than v obtained by merging v's parts along a set partition."""
+    out = set()
+    for grouping in _set_partitions(list(v.parts)):
+        merged = DecompositionType.of(sum(g) for g in grouping)
+        if len(grouping) >= 2 and merged != v:
+            out.add(merged)
+    return out
+
+
+def _coarsening_connectivity(m):
+    """Reference: search the graph of all coarsenings, both ways."""
+    vertices = set()
+    for parts in range(2, m + 1):
+        vertices |= enumerate_decomposition_types(m, parts)
+    if not vertices:
+        return False
+    start = next(iter(vertices))
+    seen = {start}
+    queue = [start]
+    while queue:
+        v = queue.pop()
+        up = _coarsenings(v)
+        for w in vertices - seen:
+            if w in up or v in _coarsenings(w):
+                seen.add(w)
+                queue.append(w)
+    return seen == vertices
+
+
 def test_connectivity():
     assert connectivity(1) is False
-    for m in range(2, 7):
-        assert connectivity(m) is True
+    for m in range(2, 13):
+        assert connectivity(m) is True, m
+    for m in range(1, 8):
+        assert connectivity(m) is _coarsening_connectivity(m), m
+        # the coarsenings of a type are exactly the runs of pair merges
+        for parts in range(2, m + 1):
+            for v in enumerate_decomposition_types(m, parts):
+                reached, frontier = set(), v.merges()
+                while frontier:
+                    reached |= frontier
+                    frontier = {w for u in frontier for w in u.merges()} - reached
+                assert reached == _coarsenings(v), v
 
 
 # -- chain types -------------------------------------------------------------------
@@ -95,6 +147,25 @@ def test_chain_level_counts_and_leaves():
     assert empty.level_counts() == []
     assert empty.leaves() == [3]
 
+    def walk(node, depth, counts, leaves):
+        dim, children = node
+        if not children:
+            leaves.append(dim)
+        for child in children:
+            if len(counts) == depth:
+                counts.append(0)
+            counts[depth] += 1
+            walk(child, depth + 1, counts, leaves)
+
+    for m in range(1, 7):
+        for size in range(m):
+            for subset in combinations(range(2, m + 1), size):
+                for c in enumerate_chain_types(m, subset):
+                    counts, leaves = [], []
+                    walk(c.root, 0, counts, leaves)
+                    assert c.level_counts() == counts == list(subset)
+                    assert c.leaves() == leaves
+
 
 def test_append_and_strip_are_inverse():
     # appending applies to chains whose finest level is coarser than lines,
@@ -114,6 +185,11 @@ def test_chain_type_validation():
         ChainType(3, (2, ()))  # wrong root dimension
     with pytest.raises(ContractViolation):
         ChainType.of(3, (3, ((1, ()), (1, ()))))  # children do not sum to 3
+    with pytest.raises(ContractViolation):
+        ChainType(4, (4, ((1, ()), (3, ()))))  # children not in canonical order
+    with pytest.raises(ContractViolation):
+        # a leaf beside an inner node: level 2 would be a 4-part decomposition
+        ChainType.of(4, (4, ((3, ((1, ()), (1, ()), (1, ()))), (1, ()))))
 
 
 # -- stabilizers --------------------------------------------------------------------

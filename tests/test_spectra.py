@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rankfilt.combinat import ContractViolation
+from rankfilt.combinat import ContractViolation, enumerate_summands
 from rankfilt.poly import Poly, prod
 from rankfilt.spectra import (
     Vanishes,
@@ -29,6 +29,11 @@ def test_vanishing():
     assert vanishing_check(5, 2) is False
     with pytest.raises(ContractViolation):
         vanishing_check(0, 1)
+    # the summand sets of every t >= 1 agree with the one set vanishing_check reads
+    for k in range(1, 7):
+        for l in range(1, 8):
+            for t in range(1, 5):
+                assert vanishing_check(k, l) == (len(enumerate_summands(k, l, t)) == 0), (k, l, t)
 
 
 def test_first_stage_projective():
