@@ -179,24 +179,17 @@ class KoszulComplex:
     def _chern_images(self, leaves):
         """Degree-2i parts of the restricted total Chern class, i = 1..k."""
         nv = self.nvars
-        zero = tuple([0] * nv)
+        zero = (0,) * nv
         total = {zero: 1}
-        for li, b in enumerate(leaves):
-            start = self.leaf_var_start[li]
+        # c(V_b)^mult per leaf block, then c(W) for the complement
+        factors = [(start, b.size, b.mult) for start, b in zip(self.leaf_var_start, leaves)]
+        factors.append((self.complement_var_start, self.descriptor.complement, 1))
+        for start, size, mult in factors:
             factor = {zero: 1}
-            for j in range(b.size):
-                mono = list(zero)
-                mono[start + j] = 1
-                factor[tuple(mono)] = 1
-            for _ in range(b.mult):
+            for j in range(start, start + size):
+                factor[zero[:j] + (1,) + zero[j + 1:]] = 1
+            for _ in range(mult):
                 total = _poly_mul(total, factor, nv)
-        if self.descriptor.complement:
-            factor = {zero: 1}
-            for j in range(self.descriptor.complement):
-                mono = list(zero)
-                mono[self.complement_var_start + j] = 1
-                factor[tuple(mono)] = 1
-            total = _poly_mul(total, factor, nv)
         by_degree = {}
         for mono, c in total.items():
             deg = self._mono_degree(mono)
@@ -380,19 +373,12 @@ def poincare(descriptor, cutoff=None, engine="auto", basis_budget=DEFAULT_BASIS_
     cutoff both engines run when both apply and must agree; disagreement
     raises :class:`EngineMismatch` rather than picking a side.
     """
-    d = descriptor.canonicalize()
-    commensurable = d.is_torus_commensurable()
-    if engine == "molien":
-        return memo.get_or_compute(
-            ("molien", d.canonical_string()), lambda: molien_poincare(d)
-        )
-    if engine == "cartan":
-        return cartan_cohomology(d, default_cutoff(d) if cutoff is None else cutoff, basis_budget)
-    if engine != "auto":
+    if engine not in ("molien", "cartan", "auto"):
         raise ValueError("unknown engine %r" % (engine,))
-    if commensurable:
+    d = descriptor.canonicalize()
+    if engine == "molien" or (engine == "auto" and d.is_torus_commensurable()):
         p = memo.get_or_compute(("molien", d.canonical_string()), lambda: molien_poincare(d))
-        if cutoff is not None:
+        if engine == "auto" and cutoff is not None:
             q = cartan_cohomology(d, cutoff, basis_budget)
             if not p.agrees(q, cutoff):
                 raise EngineMismatch(d, p, q)

@@ -101,9 +101,8 @@ class ResultCache:
         if entry is None:
             return None
         try:
-            trunc = entry["truncation"]
-            return Poly({int(d): int(c) for d, c in entry["value"].items()}, trunc)
-        except (KeyError, TypeError, ValueError):
+            return Poly.from_map(entry["value"], entry["truncation"])
+        except (AttributeError, KeyError, TypeError, ValueError):
             return None
 
     def put(self, key, poly):
@@ -189,8 +188,7 @@ def cmd_summands(args, cfg):
 def cmd_poincare(args, cfg):
     desc = parse_descriptor(args.descriptor)
     cache = ResultCache(args.cache or os.environ.get("RANKFILT_CACHE"))
-    cutoff = args.cutoff if args.cutoff is not None else cfg["default_cutoff"]
-    key = ResultCache.key(desc.canonical_string(), args.engine, cutoff)
+    key = ResultCache.key(desc.canonical_string(), args.engine, args.cutoff)
 
     if args.verify_cache:
         bad = []
@@ -211,7 +209,7 @@ def cmd_poincare(args, cfg):
     poly = cache.get(key)
     if poly is None:
         poly = cartan.poincare(
-            desc, cutoff=cutoff, engine=args.engine, basis_budget=cfg["basis_budget"]
+            desc, cutoff=args.cutoff, engine=args.engine, basis_budget=cfg["basis_budget"]
         )
         cache.put(key, poly)
         cache.save()
@@ -258,7 +256,8 @@ def cmd_cube(args, cfg):
 
 def cmd_report(args, cfg):
     report = spectra.small_range_report(
-        args.k, args.l, cutoff=args.cutoff, m_max=cfg["m_max"], k_cap=cfg["k_cap"]
+        args.k, args.l, cutoff=args.cutoff, m_max=cfg["m_max"], k_cap=cfg["k_cap"],
+        basis_budget=cfg["basis_budget"],
     )
     if args.json:
         emit_json(report.to_json())
@@ -286,7 +285,6 @@ def cmd_ku_series(args, cfg):
         args.t,
         args.cutoff,
         max_rank=args.max_rank,
-        check_stabilization=args.check_stabilization,
         sample_ks=tuple(args.sample_k or ()),
     )
     if args.json:
@@ -360,7 +358,6 @@ def build_parser():
     p.add_argument("t", type=int)
     p.add_argument("--cutoff", type=int, required=True)
     p.add_argument("--max-rank", type=int, default=1, dest="max_rank")
-    p.add_argument("--check-stabilization", action="store_true", dest="check_stabilization")
     p.add_argument("--sample-k", type=int, action="append", dest="sample_k")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_ku_series)
@@ -372,6 +369,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     cfg = load_config(args.config)
+    # the configured default cutoff stands in wherever --cutoff is left out
+    if "cutoff" in vars(args) and args.cutoff is None:
+        args.cutoff = cfg["default_cutoff"]
     try:
         return args.func(args, cfg)
     except cartan.EngineMismatch as exc:

@@ -64,9 +64,6 @@ class PointedMap:
             tuple(self(v) for v in other.values),
         )
 
-    def preimage(self, j):
-        return tuple(i for i in range(1, self.source_size + 1) if self.values[i - 1] == j)
-
 
 def pushforward(alpha, entries):
     """Push a tuple of multiplicities forward along a pointed map.
@@ -91,10 +88,6 @@ def pushforward(alpha, entries):
 # index tuples and summand sets
 
 
-def rank_of(entries):
-    return sum(entries)
-
-
 @dataclass(frozen=True)
 class IndexTuple:
     """An ordered tuple of multiplicities labelling a wedge summand over (k, l)."""
@@ -116,7 +109,7 @@ class IndexTuple:
 
     @property
     def rank(self):
-        return rank_of(self.entries)
+        return sum(self.entries)
 
     @property
     def is_basepoint(self):
@@ -259,6 +252,25 @@ def latching_quotient(k, l, t, max_rank=None):
     return SummandSet(k, l, t, max_rank, tuple(out))
 
 
+def partitions_into(n, parts, largest=None):
+    """Partitions of n into exactly ``parts`` positive parts, descending.
+
+    Parts are at most ``largest`` (default n); the union over ``parts``
+    lists every partition of n exactly once.
+    """
+    if largest is None:
+        largest = n
+    if parts == 0:
+        if n == 0:
+            yield ()
+        return
+    if not parts <= n <= parts * largest:
+        return
+    for first in range(min(n - parts + 1, largest), 0, -1):
+        for rest in partitions_into(n - first, parts - 1, first):
+            yield (first,) + rest
+
+
 # ---------------------------------------------------------------------------
 # composition
 
@@ -290,33 +302,28 @@ def compose_indices(m_tuple, n_tuple):
 # primes and the p-local regrading
 
 
+def _least_prime_factor(n):
+    """The smallest prime factor of n >= 2, by trial division."""
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return f
+        f += 1
+    return n
+
+
 def is_prime(p):
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+    return p >= 2 and _least_prime_factor(p) == p
 
 
 def is_prime_power(m):
     """True when m = p^e for a prime p and e >= 1.  1 is not a prime power."""
     if m < 2:
         return False
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            return m == 1
-        p += 1
-    return True  # m itself is prime
+    p = _least_prime_factor(m)
+    while m % p == 0:
+        m //= p
+    return m == 1
 
 
 def regrade_p(m, p):

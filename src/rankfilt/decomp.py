@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import cartan
-from .combinat import ContractViolation, is_prime_power
+from .combinat import ContractViolation, is_prime_power, partitions_into
 from .orbitspace import Block, Bunch, OrbitDescriptor, Wreath
 from .poly import Poly
 
@@ -82,26 +82,11 @@ class DecompositionType:
         }
 
 
-def _partitions_into(n, parts, largest=None):
-    """Partitions of n into exactly ``parts`` positive parts, descending."""
-    if largest is None:
-        largest = n
-    if parts == 0:
-        if n == 0:
-            yield ()
-        return
-    if n < parts:
-        return
-    for first in range(min(n - parts + 1, largest), 0, -1):
-        for rest in _partitions_into(n - first, parts - 1, first):
-            yield (first,) + rest
-
-
 def enumerate_decomposition_types(m, parts):
     """All decompositions of C^m with exactly ``parts`` components, up to orbit."""
     if not 1 <= parts <= m:
         raise ContractViolation("need 1 <= parts <= m")
-    return {DecompositionType(p) for p in _partitions_into(m, parts)}
+    return {DecompositionType(p) for p in partitions_into(m, parts)}
 
 
 def tensor(a, b):
@@ -301,7 +286,7 @@ def _forests(dims, counts):
         d = dims[i]
         remaining_roots = len(dims) - i - 1
         for p in range(1, min(d, budget - remaining_roots) + 1):
-            for part in _partitions_into(d, p):
+            for part in partitions_into(d, p):
                 chosen.append(part)
                 assign(i + 1, budget - p, chosen)
                 chosen.pop()

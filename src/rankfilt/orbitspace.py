@@ -45,9 +45,11 @@ n-fold term to a wreath.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .combinat import partitions_into
 from .poly import Poly, prod
 
 
@@ -90,16 +92,6 @@ class Bunch:
     """Juxtaposed units with no symmetry between them."""
 
     units: tuple
-
-
-def _unit_weight(u):
-    if isinstance(u, Block):
-        return u.size * u.mult
-    if isinstance(u, Wreath):
-        return u.copies * _unit_weight(u.inner)
-    if isinstance(u, Bunch):
-        return sum(_unit_weight(v) for v in u.units)
-    raise DescriptorError("unknown unit %r" % (u,))
 
 
 def _unit_leaves(u, out):
@@ -166,7 +158,7 @@ class OrbitDescriptor:
 
     @property
     def fixed(self):
-        return self.k - sum(_unit_weight(u) for u in self.units) - self.complement
+        return self.k - sum(b.size * b.mult for b in self.blocks()) - self.complement
 
     def blocks(self):
         """Leaf blocks (size, mult) in tree order."""
@@ -176,15 +168,9 @@ class OrbitDescriptor:
         return out
 
     def canonicalize(self):
-        flat = []
-        for u in self.units:
-            cu = _canonical_unit(u)
-            if isinstance(cu, Bunch):
-                flat.extend(cu.units)
-            else:
-                flat.append(cu)
-        flat.sort(key=_unit_key)
-        return OrbitDescriptor(self.k, tuple(flat), self.complement)
+        cu = _canonical_unit(Bunch(self.units))
+        units = cu.units if isinstance(cu, Bunch) else (cu,)
+        return OrbitDescriptor(self.k, units, self.complement)
 
     def canonical_string(self):
         d = self.canonicalize()
@@ -264,7 +250,9 @@ def parse_descriptor(text):
     if not sc.done():
         raise DescriptorError("trailing input at position %d in %r" % (sc.pos, sc.text))
     if complement is None:
-        complement = k - sum(_unit_weight(u) for u in units)
+        leaves = []
+        _unit_leaves(Bunch(tuple(units)), leaves)
+        complement = k - sum(b.size * b.mult for b in leaves)
         if complement < 0:
             raise DescriptorError("blocks overfill U(%d)" % k)
     return OrbitDescriptor(k, tuple(units), complement).canonicalize()
@@ -372,36 +360,22 @@ def _parse_unit(sc):
 # stored as descending tuples, weights are Fractions summing to 1.
 
 
-def partitions_of(n, largest=None):
-    if largest is None:
-        largest = n
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, largest), 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield (first,) + rest
-
-
 def _z_lambda(part):
     """Size of the S_n centralizer of a permutation of cycle type ``part``."""
     z = 1
-    mult = {}
-    for p in part:
-        mult[p] = mult.get(p, 0) + 1
-    for p, m in mult.items():
-        f = 1
-        for i in range(1, m + 1):
-            f *= i
-        z *= (p ** m) * f
+    for p in set(part):
+        m = part.count(p)
+        z *= p ** m * math.factorial(m)
     return z
 
 
 def sym_cycle_index(n):
     """Cycle index of the full symmetric group S_n."""
-    if n == 0:
-        return {(): Fraction(1)}
-    return {part: Fraction(1, _z_lambda(part)) for part in partitions_of(n)}
+    return {
+        part: Fraction(1, _z_lambda(part))
+        for r in range(n + 1)
+        for part in partitions_into(n, r)
+    }
 
 
 def ci_product(z1, z2):
@@ -465,10 +439,7 @@ def descriptor_cycle_index(d):
         raise NotTorusCommensurable(
             "not torus-commensurable: %s" % d.canonical_string()
         )
-    z = sym_cycle_index(d.complement)
-    for u in d.units:
-        z = ci_product(z, _unit_cycle_index(u))
-    return z
+    return ci_product(sym_cycle_index(d.complement), _unit_cycle_index(Bunch(d.units)))
 
 
 def group_order(cycle_index, n):

@@ -74,9 +74,6 @@ class Poly:
         """Top degree with a nonzero coefficient, or -1 for the zero polynomial."""
         return max(self.coeffs) if self.coeffs else -1
 
-    def support(self):
-        return sorted(self.coeffs)
-
     def is_exact(self):
         return self.truncation is None
 
@@ -128,7 +125,10 @@ class Poly:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        other = _promote(other)
+        try:
+            other = _promote(other)
+        except TypeError:
+            return NotImplemented
         return self.coeffs == other.coeffs and self.truncation == other.truncation
 
     def __hash__(self):

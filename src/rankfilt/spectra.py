@@ -17,9 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import cartan, decomp
-from .combinat import ContractViolation, enumerate_summands, is_prime_power
+from .combinat import (
+    ContractViolation,
+    _tuples_with_sum_range,
+    enumerate_summands,
+    is_prime_power,
+)
 from .orbitspace import Block, OrbitDescriptor
-from .poly import Poly
+from .poly import Poly, prod
 
 DEGREE_ZERO_NOTE = (
     "polynomials are those of the underlying space; "
@@ -94,7 +99,7 @@ class SubquotientVerdict:
         return out
 
 
-def subquotient_rational_check(k, l, m, cutoff=None):
+def subquotient_rational_check(k, l, m, cutoff=None, basis_budget=cartan.DEFAULT_BASIS_BUDGET):
     """Verify rational triviality of the stage-m subquotient of the (k, l) spectrum.
 
     Runs the generalized cube over C^m with isotropy tensored by I_l and a
@@ -103,7 +108,7 @@ def subquotient_rational_check(k, l, m, cutoff=None):
     """
     if not 2 <= m <= k // l:
         raise ContractViolation("need 2 <= m <= floor(k/l)")
-    cube = decomp.cube_report(m, l, k, cutoff=cutoff)
+    cube = decomp.cube_report(m, l, k, cutoff=cutoff, basis_budget=basis_budget)
     return SubquotientVerdict(k, l, m, cube.verified, cube)
 
 
@@ -116,7 +121,7 @@ def pi0_check(k, l):
     """
     if vanishing_check(k, l):
         return 0
-    p = first_stage_poincare(k, l, cutoff=0 if l > 1 else None)
+    p = cartan.poincare(first_stage_descriptor(k, l), cutoff=0 if l > 1 else None)
     if p[0] != 1:
         raise AssertionError("first stage of (%d, %d) is not connected" % (k, l))
     for m in range(2, k // l + 1):
@@ -131,10 +136,12 @@ def pi0_check(k, l):
 
 def bu_poincare(a, cutoff):
     """Poincare series of the classifying space BU(a), truncated."""
-    acc = Poly.one(cutoff)
-    for i in range(1, a + 1):
-        acc = acc * Poly.geometric(2 * i, cutoff)
-    return acc
+    return prod((Poly.geometric(2 * i, cutoff) for i in range(1, a + 1)), cutoff)
+
+
+def bu_product(ms, cutoff):
+    """Product of the BU(m) series over the entries m of ``ms``, truncated."""
+    return prod((bu_poincare(m, cutoff) for m in ms), cutoff)
 
 
 def summand_limit_descriptor(ms, l, k):
@@ -147,7 +154,7 @@ def summand_limit_descriptor(ms, l, k):
     ).canonicalize()
 
 
-def ku_limit_series(l, t, cutoff, max_rank=1, check_stabilization=False, sample_ks=()):
+def ku_limit_series(l, t, cutoff, max_rank=1, sample_ks=()):
     """Stage-``max_rank`` part of the limit series of the colimit spectrum.
 
     Sums, over the non-zero t-tuples (m_1, ..., m_t) of rank at most
@@ -156,36 +163,18 @@ def ku_limit_series(l, t, cutoff, max_rank=1, check_stabilization=False, sample_
     contributes 1 in degree 0), so a rank bound is always required; the
     bound-1 series for t = 1 is the geometric series 1/(1 - t^2).
 
-    With ``check_stabilization`` the coefficients of the finite-rank orbit
-    spaces are verified to stabilize to the product of classifying-space
-    series as the ambient rank grows through ``sample_ks``.
+    For every tuple the coefficients of the finite-rank orbit spaces are
+    verified to stabilize to the product of classifying-space series as the
+    ambient rank grows through ``sample_ks`` (no check when it is empty).
     """
     if t < 1:
         raise ContractViolation("need t >= 1")
     if max_rank < 1:
         raise ContractViolation("need max_rank >= 1")
     acc = Poly.zero(cutoff)
-    tuples = []
-
-    def rec(prefix, budget):
-        if len(prefix) == t:
-            if any(prefix):
-                tuples.append(tuple(prefix))
-            return
-        for v in range(budget + 1):
-            prefix.append(v)
-            rec(prefix, budget - v)
-            prefix.pop()
-
-    rec([], max_rank)
-    for ms in tuples:
-        term = Poly.one(cutoff)
-        for m in ms:
-            if m > 0:
-                term = term * bu_poincare(m, cutoff)
-        acc = acc + term
-    if check_stabilization:
-        for ms in tuples:
+    for ms in _tuples_with_sum_range(t, 1, max_rank):
+        acc = acc + bu_product(ms, cutoff)
+        if sample_ks:
             stabilization_check(l, ms, cutoff, sample_ks)
     return acc
 
@@ -197,11 +186,8 @@ def stabilization_check(l, ms, cutoff, ks):
     of BU series through the degrees that have already stabilized at that k
     (coefficient j is stable once j < 2*(k - l*r + 1) for r the total rank).
     """
-    target = Poly.one(cutoff)
+    target = bu_product(ms, cutoff)
     r = sum(ms)
-    for m in ms:
-        if m > 0:
-            target = target * bu_poincare(m, cutoff)
     for k in ks:
         d = summand_limit_descriptor(ms, l, k)
         stable_through = min(cutoff, 2 * (k - l * r))
@@ -282,7 +268,10 @@ class FiltrationReport:
         return rows
 
 
-def small_range_report(k, l, cutoff=None, m_max=DEFAULT_M_MAX, k_cap=DEFAULT_K_CAP):
+def small_range_report(
+    k, l, cutoff=None, m_max=DEFAULT_M_MAX, k_cap=DEFAULT_K_CAP,
+    basis_budget=cartan.DEFAULT_BASIS_BUDGET,
+):
     """Full filtration report for a pair (k, l).
 
     One-stage ranges (floor(k/l) = 1) are marked as such and the full
@@ -290,8 +279,6 @@ def small_range_report(k, l, cutoff=None, m_max=DEFAULT_M_MAX, k_cap=DEFAULT_K_C
     their prime-power flags and the outcome of the subquotient verification;
     stages beyond ``m_max`` are skipped (raise ``m_max`` to force them).
     """
-    if k < 1 or l < 1:
-        raise ContractViolation("need k, l >= 1")
     if k > k_cap:
         raise ContractViolation(
             "k=%d exceeds the configured cap %d for the Cartan engine" % (k, k_cap)
@@ -301,13 +288,15 @@ def small_range_report(k, l, cutoff=None, m_max=DEFAULT_M_MAX, k_cap=DEFAULT_K_C
             k=k, l=l, vanishes=True, length=0, pi0=0, first_stage=None, stages=()
         )
     length = k // l
-    first = first_stage_poincare(k, l, cutoff=cutoff)
+    first = cartan.poincare(
+        first_stage_descriptor(k, l), cutoff=cutoff, basis_budget=basis_budget
+    )
     stages = [StageReport(1, None, "first stage", first)]
     for m in range(2, length + 1):
         if m > m_max:
             stages.append(StageReport(m, is_prime_power(m), "skipped (beyond M_max)", Poly.zero()))
             continue
-        verdict = subquotient_rational_check(k, l, m, cutoff=cutoff)
+        verdict = subquotient_rational_check(k, l, m, cutoff=cutoff, basis_budget=basis_budget)
         stages.append(StageReport(m, is_prime_power(m), verdict.verdict, Poly.zero()))
     endo = first if k == l else None
     return FiltrationReport(

@@ -81,6 +81,23 @@ def test_resource_limit_exit_code(capsys, tmp_path):
     assert "resource limit" in err and "degree" in err
 
 
+def test_config_reaches_every_engine_command(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"basis_budget": 2}))
+    for argv in (["poincare", "U(4)/(1,2)xU(2)"], ["cube", "2", "--l", "2", "--k", "5"],
+                 ["report", "4", "2"]):
+        code, _, err = run(capsys, "--config", str(cfg), *argv)
+        assert code == 5 and "resource limit" in err, argv
+
+    cfg.write_text(json.dumps({"default_cutoff": 4}))
+    for argv in (["poincare", "U(4)/(1,2)xU(2)", "--json"], ["cube", "2", "--l", "2", "--json"],
+                 ["report", "4", "2", "--json"]):
+        code, configured, _ = run(capsys, "--config", str(cfg), *argv)
+        assert code == 0
+        assert configured == run(capsys, *argv, "--cutoff", "4")[1], argv
+        assert configured != run(capsys, *argv)[1], argv
+
+
 def test_cube_text_and_exit(capsys):
     code, out, _ = run(capsys, "cube", "3")
     assert code == 0
@@ -122,6 +139,17 @@ def test_ku_series(capsys):
     code, out, _ = run(capsys, "ku-series", "1", "1", "--cutoff", "12")
     assert code == 0
     assert out.strip() == "1 + t^2 + t^4 + t^6 + t^8 + t^10 + t^12"
+
+
+def test_ku_series_sample_ranks_are_checked(capsys):
+    args = ("ku-series", "1", "2", "--cutoff", "6", "--max-rank", "2")
+    code, plain, _ = run(capsys, *args)
+    assert code == 0
+    code, checked, _ = run(capsys, *args, "--sample-k", "6", "--sample-k", "8")
+    assert code == 0 and checked == plain
+    # rank-2 tuples do not fit in U(1): the check runs and rejects the sample
+    code, _, err = run(capsys, *args, "--sample-k", "1")
+    assert code == 2 and "ambient rank too small" in err
 
 
 def test_cache_transparency_and_audit(capsys, tmp_path):
@@ -178,6 +206,34 @@ def test_stale_cache_entry_is_recomputed(capsys, tmp_path):
     assert entry["engine_version"] == cli.ENGINE_VERSION
     assert entry["value"] == {"0": 1, "2": 1, "4": 1}
     assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+
+
+def test_cache_entry_that_is_not_a_map_is_a_miss(capsys, tmp_path):
+    cache = tmp_path / "cache.json"
+    args = ("poincare", "U(3)/(2)x(1)", "--cache", str(cache))
+    code, fresh, _ = run(capsys, *args)
+    assert code == 0
+    doc = json.loads(cache.read_text())
+    (key,) = doc["entries"]
+    for value in ("1 + t^2", [1, 0, 1], None):
+        doc["entries"][key]["value"] = value
+        cache.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, *args)
+        assert code == 0 and out == fresh, value
+        assert json.loads(cache.read_text())["entries"][key]["value"] == {"0": 1, "2": 1, "4": 1}
+
+
+def test_cache_audit_reports_an_unparsable_value(capsys, tmp_path):
+    cache = tmp_path / "cache.json"
+    args = ("poincare", "U(3)/(2)x(1)", "--cache", str(cache))
+    assert run(capsys, *args)[0] == 0
+    doc = json.loads(cache.read_text())
+    (key,) = doc["entries"]
+    doc["entries"][key]["value"] = {"0": "one"}
+    cache.write_text(json.dumps(doc))
+    code, _, err = run(capsys, *args, "--verify-cache")
+    assert code == 4
+    assert "cache audit FAILED for %s: value differs" % key in err
 
 
 def test_truncated_cache_is_ignored(capsys, tmp_path):

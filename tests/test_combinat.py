@@ -15,9 +15,12 @@ from rankfilt.combinat import (
     PointedMap,
     compose_indices,
     compose_rank,
+    _tuples_with_sum_range,
     enumerate_summands,
+    is_prime,
     is_prime_power,
     latching_quotient,
+    partitions_into,
     pushforward,
     rank_bound,
     regrade_p,
@@ -219,6 +222,54 @@ def test_prime_power_predicate():
     assert got == expected
     assert not is_prime_power(1)
     assert not is_prime_power(6)
+
+
+def test_primes_against_brute_force():
+    for n in range(500):
+        divisors = [d for d in range(2, n + 1) if n % d == 0]
+        prime_divisors = {d for d in divisors if all(d % e for e in range(2, d))}
+        assert is_prime(n) == (divisors == [n]), n
+        assert is_prime_power(n) == (len(prime_divisors) == 1), n
+
+
+# -- the shared enumerators ----------------------------------------------------
+
+
+def test_tuples_with_sum_range_matches_nonzero_bounded_tuples():
+    def nonzero_tuples(t, budget):
+        # the enumerator the limit series used before it shared this one
+        out = []
+
+        def rec(prefix, budget):
+            if len(prefix) == t:
+                if any(prefix):
+                    out.append(tuple(prefix))
+                return
+            for v in range(budget + 1):
+                prefix.append(v)
+                rec(prefix, budget - v)
+                prefix.pop()
+
+        rec([], budget)
+        return out
+
+    for t in range(1, 5):
+        for r in range(1, 5):
+            assert list(_tuples_with_sum_range(t, 1, r)) == nonzero_tuples(t, r), (t, r)
+
+
+def test_partitions_into_covers_each_partition_once():
+    def count(n, largest):
+        # partitions of n into parts <= largest
+        if n == 0:
+            return 1
+        return sum(count(n - first, first) for first in range(1, min(n, largest) + 1))
+
+    for n in range(11):
+        union = [p for r in range(n + 1) for p in partitions_into(n, r)]
+        assert len(union) == len(set(union)) == count(n, n), n
+        for p in union:
+            assert sum(p) == n and list(p) == sorted(p, reverse=True) and min(p, default=1) >= 1
 
 
 def test_index_tuple_bound():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from rankfilt.combinat import partitions_into
 from rankfilt.orbitspace import (
     Block,
     Bunch,
@@ -20,7 +21,6 @@ from rankfilt.orbitspace import (
     group_order,
     molien_poincare,
     parse_descriptor,
-    partitions_of,
     real_dimension,
     sym_cycle_index,
 )
@@ -256,4 +256,4 @@ def test_grammar_rejects_garbage():
 
 
 def test_partitions_of():
-    assert set(partitions_of(4)) == {(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)}
+    assert {p for r in range(5) for p in partitions_into(4, r)} == {(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)}

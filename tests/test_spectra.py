@@ -108,8 +108,30 @@ def test_stabilization():
     stabilization_check(1, (2,), 10, ks=(9, 11))
     stabilization_check(1, (1, 1), 8, ks=(8, 10))
     stabilization_check(2, (1,), 6, ks=(6, 8))
-    s = ku_limit_series(1, 1, 12, check_stabilization=True, sample_ks=(8, 10))
+    s = ku_limit_series(1, 1, 12, sample_ks=(8, 10))
     assert s == Poly.geometric(2, 12)
+
+
+def test_sample_ranks_run_the_stabilization_check(monkeypatch):
+    from rankfilt import spectra
+
+    seen = []
+    monkeypatch.setattr(spectra, "stabilization_check", lambda l, ms, c, ks: seen.append(ms))
+    ku_limit_series(1, 2, 6, max_rank=2, sample_ks=(8,))
+    assert seen == [(0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+    seen.clear()
+    ku_limit_series(1, 2, 6, max_rank=2)
+    assert seen == []
+
+
+def test_report_checks_vanishing_once_per_caller(monkeypatch):
+    from rankfilt import spectra
+
+    calls = []
+    real = spectra.vanishing_check
+    monkeypatch.setattr(spectra, "vanishing_check", lambda k, l: calls.append((k, l)) or real(k, l))
+    spectra.small_range_report(4, 2)
+    assert calls == [(4, 2), (4, 2)]  # the report's own check and pi0_check's
 
 
 def test_report_one_stage():
