@@ -42,6 +42,7 @@ import itertools
 from operator import add
 
 from .cache import memo
+from .combinat import ContractViolation
 from .linalg import sparse_rank
 from .orbitspace import (
     Block,
@@ -82,7 +83,8 @@ class EngineMismatch(ArithmeticError):
 
 
 class InvariantViolation(AssertionError):
-    """The finite part failed to commute with the differential."""
+    """A built-in check failed: the finite part does not commute with the
+    differential, d^2 != 0, or a result has b_0 != 1."""
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +139,24 @@ def _finite_part(u):
         return tuple(out)
 
     return width, canon, swaps
+
+
+def _fill_monomials(weights, idx, remaining, current, out):
+    """Append to ``out``, in lexicographic order, every exponent tuple that
+    extends ``current`` over ``weights[idx:]`` to weighted degree ``remaining``.
+
+    A module function, not a closure: a recursive closure is a reference
+    cycle, which would keep its complex alive until the cyclic collector runs.
+    """
+    if idx == len(weights):
+        if remaining == 0:
+            out.append(tuple(current))
+        return
+    w = weights[idx]
+    for e in range(remaining // w + 1):
+        current.append(e)
+        _fill_monomials(weights, idx + 1, remaining - e * w, current, out)
+        current.pop()
 
 
 def _swap(mono, a, w):
@@ -213,28 +233,13 @@ class KoszulComplex:
 
     def _monomials(self, degree):
         """Exponent tuples of weighted degree ``degree`` (degree is even)."""
-        key = degree
-        got = self._mono_cache.get(key)
-        if got is not None:
-            return got
-
-        out = []
-
-        def rec(idx, remaining, current):
-            if idx == self.nvars:
-                if remaining == 0:
-                    out.append(tuple(current))
-                return
-            d = self.var_degrees[idx]
-            for e in range(remaining // d + 1):
-                current.append(e)
-                rec(idx + 1, remaining - e * d, current)
-                current.pop()
-
-        if degree % 2 == 0 and degree >= 0:
-            rec(0, degree, [])
-        self._mono_cache[key] = out
-        return out
+        got = self._mono_cache.get(degree)
+        if got is None:
+            got = []
+            if degree % 2 == 0 and degree >= 0:
+                _fill_monomials(self.var_degrees, 0, degree, [], got)
+            self._mono_cache[degree] = got
+        return got
 
     def _exterior(self):
         if self._ext_list is None:
@@ -345,15 +350,32 @@ def cartan_cohomology(descriptor, cutoff, basis_budget=DEFAULT_BASIS_BUDGET):
     """Poincare polynomial of U(k)/H through ``cutoff`` via the Koszul model.
 
     For a disconnected H the invariant subcomplex is used, which over Q
-    computes the cohomology of the quotient by the finite part.
+    computes the cohomology of the quotient by the finite part, in every
+    degree through ``cutoff``.  For a connected H (no ``Wreath`` with two
+    or more copies) U(k)/H is a closed orientable manifold of dimension
+    n = ``real_dimension``, so Poincare duality gives b_i = b_(n-i): only
+    the degrees through min(cutoff, n // 2) are computed, and each degree
+    i above them is b_(n-i) for i <= n and 0 past n.  Every result must
+    have b_0 = 1, which with the reflection also checks b_n.
     """
+    if cutoff < 0:
+        raise ContractViolation("the cutoff must be >= 0, got %d" % cutoff)
     d = descriptor.canonicalize()
     key = ("cartan", d.canonical_string(), cutoff)
 
     def compute():
         kc = KoszulComplex(d, basis_budget=basis_budget)
-        dims = kc.cohomology_dims(cutoff, invariants=True)
-        return Poly({i: c for i, c in enumerate(dims)}, truncation=cutoff)
+        if kc.generators:
+            dims = kc.cohomology_dims(cutoff)
+        else:
+            n = real_dimension(d)
+            dims = kc.cohomology_dims(min(cutoff, n // 2))
+            dims += [dims[n - i] if i <= n else 0 for i in range(len(dims), cutoff + 1)]
+        if dims[0] != 1:
+            raise InvariantViolation(
+                "b_0 = %d, not 1, for %s" % (dims[0], d.canonical_string())
+            )
+        return Poly(dict(enumerate(dims)), truncation=cutoff)
 
     return memo.get_or_compute(key, compute)
 

@@ -7,6 +7,8 @@ Exit codes, so CI can tell math findings from plumbing failures:
     3   engine mismatch: Molien and Cartan disagree (a math bug signal)
     4   a verification verdict failed (the report is still emitted)
     5   resource limit hit (the offending degree is reported)
+    6   invariant violation: a result failed a built-in check such as
+        b_0 = 1 (a math bug signal)
 
 Output is deterministic: JSON is emitted with sorted keys, and polynomial
 maps are keyed by degree in sorted order.  A persistent JSON result cache
@@ -35,6 +37,7 @@ EXIT_USAGE = 2
 EXIT_ENGINE_MISMATCH = 3
 EXIT_VERIFICATION = 4
 EXIT_RESOURCE = 5
+EXIT_INVARIANT = 6
 
 ENGINE_VERSION = "rankfilt-0.1.0"
 
@@ -370,8 +373,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     cfg = load_config(args.config)
     # the configured default cutoff stands in wherever --cutoff is left out
-    if "cutoff" in vars(args) and args.cutoff is None:
-        args.cutoff = cfg["default_cutoff"]
+    if "cutoff" in vars(args):
+        if args.cutoff is None:
+            args.cutoff = cfg["default_cutoff"]
+        if args.cutoff is not None and (type(args.cutoff) is not int or args.cutoff < 0):
+            print("error: the cutoff must be an integer >= 0, got %r" % (args.cutoff,),
+                  file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.func(args, cfg)
     except cartan.EngineMismatch as exc:
@@ -379,6 +387,9 @@ def main(argv=None):
         print("  molien: %s" % exc.molien.pretty(), file=sys.stderr)
         print("  cartan: %s" % exc.cartan.pretty(), file=sys.stderr)
         return EXIT_ENGINE_MISMATCH
+    except cartan.InvariantViolation as exc:
+        print("invariant violation: %s" % exc, file=sys.stderr)
+        return EXIT_INVARIANT
     except cartan.ResourceLimit as exc:
         print(
             "resource limit: degree %d needs %d basis elements (budget %d)"

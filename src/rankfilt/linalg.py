@@ -5,10 +5,17 @@ Elimination is fraction free: a two-term integer cross-multiplication
 followed by a content strip, with a cheap Markowitz-style pivot choice
 (sparsest row, then sparsest column within it).  No floating point is
 used anywhere.
+
+The sparsest row comes from a lazy heap of ``(length, row id)`` entries:
+a row whose length changes during elimination is pushed again, and a
+popped entry whose row is gone or has another length is skipped.  Ties go
+to the lowest row id, so the pivot sequence, and with it every
+intermediate row, is that of a scan for the first sparsest active row.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 
@@ -36,11 +43,16 @@ def sparse_rank(rows):
         for c in row:
             col_rows.setdefault(c, set()).add(rid)
 
+    heap = [(len(row), rid) for rid, row in active.items()]
+    heapify(heap)
     rank = 0
-    while active:
-        # pivot: sparsest row, then its column hit by fewest other rows
-        prid = min(active, key=lambda r: len(active[r]))
-        prow = active[prid]
+    while heap:
+        # pivot: sparsest row (lowest id on ties), then its column hit by
+        # fewest other rows
+        n, prid = heappop(heap)
+        prow = active.get(prid)
+        if prow is None or len(prow) != n:
+            continue
         pcol = min(prow, key=lambda c: len(col_rows[c]))
         pval = prow[pcol]
         rank += 1
@@ -52,6 +64,7 @@ def sparse_rank(rows):
         victims = list(col_rows.get(pcol, ()))
         for rid in victims:
             row = active[rid]
+            before = len(row)
             rval = row.pop(pcol)
             col_rows[pcol].discard(rid)
             # row <- pval*row - rval*prow; the pivot column cancels exactly
@@ -70,6 +83,8 @@ def sparse_rank(rows):
                     col_rows[c].discard(rid)
             if row:
                 _strip_content(row)
+                if len(row) != before:
+                    heappush(heap, (len(row), rid))
             else:
                 del active[rid]
     return rank

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from rankfilt.cache import memo
 from rankfilt.cartan import (
     EngineMismatch,
     InvariantViolation,
@@ -13,6 +14,7 @@ from rankfilt.cartan import (
     default_cutoff,
     poincare,
 )
+from rankfilt.combinat import ContractViolation
 from rankfilt.orbitspace import (
     Block,
     Bunch,
@@ -21,8 +23,10 @@ from rankfilt.orbitspace import (
     flag_poincare_oracle,
     molien_poincare,
     parse_descriptor,
+    real_dimension,
 )
 from rankfilt.poly import Poly, prod
+from rankfilt.spectra import first_stage_descriptor
 
 
 def stiefel_oracle(k, l, cutoff):
@@ -328,3 +332,93 @@ def test_broken_symmetry_is_caught_on_generators():
     # a block outside every wreath may be lopsided
     Lopsided.broken = (0,)
     Lopsided(parse_descriptor("U(5)/S2wrS2wr(1)x(1)"))
+
+
+# -- connected isotropy: half the degrees, then Poincare duality --------------
+
+
+def _connected_descriptors(k_max, dim_max):
+    """Connected descriptors: multisets of blocks Block(a, l) plus a complement."""
+
+    def block_lists(room, smallest):
+        yield ()
+        for a in range(1, room + 1):
+            for l in range(1, room // a + 1):
+                if (a, l) >= smallest:
+                    for rest in block_lists(room - a * l, (a, l)):
+                        yield (Block(a, l),) + rest
+
+    seen = {}
+    for k in range(1, k_max + 1):
+        for blocks in block_lists(k, (1, 1)):
+            used = sum(b.size * b.mult for b in blocks)
+            for c in range(k - used + 1):
+                d = OrbitDescriptor(k, blocks, c).canonicalize()
+                if real_dimension(d) <= dim_max:
+                    seen[d.canonical_string()] = d
+    return seen
+
+
+def test_duality_route_matches_every_degree():
+    seen = _connected_descriptors(5, 24)
+    assert len(seen) > 100
+    for text, d in seen.items():
+        n = real_dimension(d)
+        full = KoszulComplex(d).cohomology_dims(n + 3)
+        assert full[n] == 1 and full[n + 1:] == [0, 0, 0], text
+        for cutoff in (n // 2, n, n + 3):
+            got = cartan_cohomology(d, cutoff)
+            assert got.truncation == cutoff, text
+            assert [got[i] for i in range(cutoff + 1)] == full[: cutoff + 1], (text, cutoff)
+
+
+def test_first_stage_closed_form_through_the_dimension():
+    # P = [k-l+1]_{t^2} * prod_{i=k-l+2}^{k} (1 + t^(2i-1))
+    for k in range(1, 8):
+        for l in range(1, k + 1):
+            d = first_stage_descriptor(k, l)
+            n = real_dimension(d)
+            closed = Poly({2 * j: 1 for j in range(k - l + 1)}) * prod(
+                Poly({0: 1, 2 * i - 1: 1}) for i in range(k - l + 2, k + 1)
+            )
+            got = cartan_cohomology(d, n)
+            assert got.truncation == n and got.agrees(closed, n), (k, l)
+
+
+def test_negative_cutoff_is_a_contract_violation():
+    with pytest.raises(ContractViolation):
+        cartan_cohomology(OrbitDescriptor(3, (Block(1, 2),), 1), -1)
+
+
+def test_degree_zero_must_be_one(monkeypatch):
+    monkeypatch.setattr(KoszulComplex, "cohomology_dims", lambda self, cutoff: [2] * (cutoff + 1))
+    for text in ["U(3)/(1,2)xU(1)", "U(4)/S2wr(1)xU(2)"]:
+        memo.clear()
+        with pytest.raises(InvariantViolation):
+            cartan_cohomology(parse_descriptor(text), 6)
+    memo.clear()
+
+
+def test_complex_is_freed_without_the_cycle_collector(monkeypatch):
+    # a complex left to the cyclic collector lingers, with all its bases,
+    # into whatever runs next
+    import gc
+    import weakref
+
+    made = []
+    init = KoszulComplex.__init__
+
+    def tracked(self, *args, **kwargs):
+        made.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(KoszulComplex, "__init__", tracked)
+    memo.clear()
+    gc.disable()
+    try:
+        for text in ["U(4)/S2wr(1)xU(2)", "U(5)/(1,2)xU(3)"]:
+            cartan_cohomology(parse_descriptor(text), 8)
+        memo.clear()
+        assert len(made) == 2 and all(ref() is None for ref in made)
+    finally:
+        gc.enable()

@@ -98,6 +98,62 @@ def test_config_reaches_every_engine_command(capsys, tmp_path):
         assert configured != run(capsys, *argv)[1], argv
 
 
+def test_negative_cutoff_is_a_usage_error(capsys, tmp_path):
+    commands = (
+        ["poincare", "U(3)/(1,2)xU(1)"],
+        ["poincare", "U(3)/(1,2)xU(1)", "--json"],
+        ["cube", "2", "--l", "2", "--k", "5"],
+        ["report", "4", "2"],
+        ["ku-series", "1", "1"],
+    )
+    for argv in commands:
+        code, out, err = run(capsys, *argv, "--cutoff", "-1")
+        assert code == 2 and out == "" and "cutoff" in err, argv
+
+    cfg = tmp_path / "cfg.json"
+    for bad in (-1, "4", 2.5):
+        cfg.write_text(json.dumps({"default_cutoff": bad}))
+        for argv in commands[:4]:
+            code, out, err = run(capsys, "--config", str(cfg), *argv)
+            assert code == 2 and out == "" and "cutoff" in err, (bad, argv)
+
+
+def test_invariant_violation_exit_code(capsys, monkeypatch):
+    from rankfilt import cartan
+
+    chern_images = cartan.KoszulComplex._chern_images
+
+    def lopsided(self, leaves):
+        # add the first Chern root of leaf 0 alone to c_1: no longer symmetric
+        chern = chern_images(self, leaves)
+        mono = [0] * self.nvars
+        mono[self.leaf_var_start[0]] = 1
+        chern[0] = dict(chern[0])
+        chern[0][tuple(mono)] = chern[0].get(tuple(mono), 0) + 1
+        return chern
+
+    cartan.memo.clear()
+    monkeypatch.setattr(cartan.KoszulComplex, "_chern_images", lopsided)
+    code, out, err = run(capsys, "poincare", "U(4)/S2wr(1)xU(2)", "--engine", "cartan")
+    assert code == 6 and out == ""
+    assert len(err.splitlines()) == 1 and "invariant violation" in err
+    cartan.memo.clear()
+
+
+def test_python_dash_m_runs_the_cli():
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "rankfilt", "report", "3", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("report k=3 l=1: 3 stages, pi0 = 1")
+
+
 def test_cube_text_and_exit(capsys):
     code, out, _ = run(capsys, "cube", "3")
     assert code == 0

@@ -41,3 +41,44 @@ def test_rank_scaling_invariance():
         rows = [{c: v for c, v in r.items() if v} for r in rows]
         scaled = [{c: 7 * v for c, v in r.items()} for r in rows]
         assert sparse_rank([dict(r) for r in rows]) == sparse_rank(scaled)
+
+
+def test_koszul_rows_cross_check():
+    from rankfilt.cartan import KoszulComplex
+    from rankfilt.orbitspace import parse_descriptor
+
+    for text in ["U(3)/(1,2)xU(1)", "U(4)/(1)x(1)xU(2)", "U(4)/S2wr(1)xU(2)", "U(5)/S2wr(1,2)x(1)"]:
+        kc = KoszulComplex(parse_descriptor(text))
+        for invariants in (True, False):
+            for degree in range(9):
+                rows = kc._image_rows(degree, invariants)
+                ncols = len(kc.basis(degree + 1, invariants))
+                expected = dense_rank_fractions(rows, ncols)
+                assert sparse_rank([dict(r) for r in rows]) == expected, (text, degree)
+
+
+def test_heap_stress_cross_check():
+    # many rows of one length (ties on the heap), duplicate rows, and rows
+    # that elimination empties or shortens, so stale heap entries abound
+    rng = random.Random(20261018)
+    for _ in range(300):
+        nc = rng.randint(2, 10)
+        width = rng.randint(1, nc)
+        base = [
+            {c: rng.choice((-2, -1, 1, 2)) for c in rng.sample(range(nc), width)}
+            for _ in range(rng.randint(1, 6))
+        ]
+        rows = []
+        for _ in range(rng.randint(1, 25)):
+            r = rng.random()
+            if r < 0.4:
+                rows.append(dict(rng.choice(base)))
+            elif r < 0.6:
+                a, b = rng.sample(base, 2) if len(base) > 1 else (base[0], base[0])
+                s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+                row = {c: s * a.get(c, 0) + t * b.get(c, 0) for c in set(a) | set(b)}
+                rows.append({c: v for c, v in row.items() if v})
+            else:
+                rows.append({c: rng.randint(1, 3) for c in rng.sample(range(nc), width)})
+        expected = dense_rank_fractions(rows, nc)
+        assert sparse_rank([dict(r) for r in rows]) == expected
