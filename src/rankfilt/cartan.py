@@ -84,7 +84,8 @@ class EngineMismatch(ArithmeticError):
 
 class InvariantViolation(AssertionError):
     """A built-in check failed: the finite part does not commute with the
-    differential, d^2 != 0, or a result has b_0 != 1."""
+    differential, a result has b_0 != 1, or a result for connected isotropy
+    breaks Poincare duality."""
 
 
 # ---------------------------------------------------------------------------
@@ -331,20 +332,6 @@ class KoszulComplex:
             out.append(dims[d] - ranks[d] - below)
         return out
 
-    def verify_d_squared(self, degrees):
-        """Check d(d(b)) == 0 on every basis element in the given degrees."""
-        for d in degrees:
-            rows = self._image_rows(d, invariants=False)
-            rows_next = self._image_rows(d + 1, invariants=False)
-            for row in rows:
-                acc = {}
-                for j, v in row.items():
-                    for j2, v2 in rows_next[j].items():
-                        acc[j2] = acc.get(j2, 0) + v * v2
-                if any(acc.values()):
-                    raise InvariantViolation("d^2 != 0 in degree %d" % d)
-        return True
-
 
 def cartan_cohomology(descriptor, cutoff, basis_budget=DEFAULT_BASIS_BUDGET):
     """Poincare polynomial of U(k)/H through ``cutoff`` via the Koszul model.
@@ -380,6 +367,24 @@ def cartan_cohomology(descriptor, cutoff, basis_budget=DEFAULT_BASIS_BUDGET):
     return memo.get_or_compute(key, compute)
 
 
+def _molien_checked(d):
+    """Molien polynomial of the canonical descriptor ``d``.
+
+    With connected isotropy U(k)/H is a closed orientable manifold, so the
+    polynomial must be palindromic with top degree the real dimension.  The
+    isotropy is connected when no top-level unit is a ``Wreath``: canonical
+    units are flattened, so a ``Bunch`` and any deeper wreath sit inside one.
+    """
+    p = molien_poincare(d)
+    if not any(isinstance(u, Wreath) for u in d.units) and (
+        p.degree() != real_dimension(d) or not p.is_palindromic()
+    ):
+        raise InvariantViolation(
+            "Poincare duality fails for %s: %s" % (d.canonical_string(), p.pretty())
+        )
+    return p
+
+
 def default_cutoff(descriptor):
     """Twice the real dimension of the orbit, capped: past the dimension the
     cohomology is zero, so the factor two is pure safety margin."""
@@ -399,7 +404,7 @@ def poincare(descriptor, cutoff=None, engine="auto", basis_budget=DEFAULT_BASIS_
         raise ValueError("unknown engine %r" % (engine,))
     d = descriptor.canonicalize()
     if engine == "molien" or (engine == "auto" and d.is_torus_commensurable()):
-        p = memo.get_or_compute(("molien", d.canonical_string()), lambda: molien_poincare(d))
+        p = memo.get_or_compute(("molien", d.canonical_string()), lambda: _molien_checked(d))
         if engine == "auto" and cutoff is not None:
             q = cartan_cohomology(d, cutoff, basis_budget)
             if not p.agrees(q, cutoff):

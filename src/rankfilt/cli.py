@@ -368,15 +368,25 @@ def build_parser():
     return parser
 
 
+def _is_count(value):
+    """An int >= 0; a bool is not a count."""
+    return type(value) is int and value >= 0
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     cfg = load_config(args.config)
+    for key, value in cfg.items():
+        if not _is_count(value) and not (key == "default_cutoff" and value is None):
+            print("error: config key %s must be an integer >= 0, got %r" % (key, value),
+                  file=sys.stderr)
+            return EXIT_USAGE
     # the configured default cutoff stands in wherever --cutoff is left out
     if "cutoff" in vars(args):
         if args.cutoff is None:
             args.cutoff = cfg["default_cutoff"]
-        if args.cutoff is not None and (type(args.cutoff) is not int or args.cutoff < 0):
+        if args.cutoff is not None and not _is_count(args.cutoff):
             print("error: the cutoff must be an integer >= 0, got %r" % (args.cutoff,),
                   file=sys.stderr)
             return EXIT_USAGE
@@ -397,7 +407,7 @@ def main(argv=None):
             file=sys.stderr,
         )
         return EXIT_RESOURCE
-    except (ContractViolation, DescriptorError, NotTorusCommensurable, spectra.Vanishes) as exc:
+    except (ContractViolation, DescriptorError, NotTorusCommensurable) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,4 +1,4 @@
-"""Pointed-multiset calculus and wedge-summand indexing of the rank filtration.
+"""Wedge-summand indexing of the rank filtration.
 
 Index tuples (m_1, ..., m_t) of non-negative integers label the wedge
 summands of the value of the mapping functor on the pointed set [t], in
@@ -9,6 +9,12 @@ basepoint and is never stored in a summand set.
 
 ``max_rank=None`` throughout means the unfiltered functor (stage infinity),
 which internally coincides with stage floor(k / l).
+
+The module also holds the shared enumerators (bounded-sum tuples,
+partitions into a fixed number of parts) and the prime-power flag that
+reports attach to each stage.  Maps of pointed sets and the composition
+of index tuples are not needed to compute any report; they survive only
+as test oracles.
 """
 
 from __future__ import annotations
@@ -18,70 +24,6 @@ from dataclasses import dataclass, field
 
 class ContractViolation(ValueError):
     """An operation was called outside its stated preconditions."""
-
-
-# ---------------------------------------------------------------------------
-# pointed maps
-
-
-@dataclass(frozen=True)
-class PointedMap:
-    """A basepoint-preserving function [t] -> [s], with 0 the basepoint.
-
-    ``values[i-1]`` is the image of i for 1 <= i <= t; the basepoint's image
-    is implicitly 0 and not stored.
-    """
-
-    source_size: int
-    target_size: int
-    values: tuple
-
-    def __post_init__(self):
-        if self.source_size < 0 or self.target_size < 0:
-            raise ContractViolation("negative set size")
-        if len(self.values) != self.source_size:
-            raise ContractViolation("value list does not match source size")
-        for v in self.values:
-            if not 0 <= v <= self.target_size:
-                raise ContractViolation("value %r outside [0..%d]" % (v, self.target_size))
-
-    @staticmethod
-    def identity(t):
-        return PointedMap(t, t, tuple(range(1, t + 1)))
-
-    def __call__(self, i):
-        if i == 0:
-            return 0
-        return self.values[i - 1]
-
-    def compose(self, other):
-        """self after other: [r] -> [t] -> [s]."""
-        if other.target_size != self.source_size:
-            raise ContractViolation("composition size mismatch")
-        return PointedMap(
-            other.source_size,
-            self.target_size,
-            tuple(self(v) for v in other.values),
-        )
-
-
-def pushforward(alpha, entries):
-    """Push a tuple of multiplicities forward along a pointed map.
-
-    Entry j of the result sums the entries of ``entries`` mapping to j;
-    entries sent to the basepoint are discarded.
-    """
-    entries = tuple(entries)
-    if alpha.source_size != len(entries):
-        raise ContractViolation(
-            "map source [%d] does not match tuple length %d" % (alpha.source_size, len(entries))
-        )
-    out = [0] * alpha.target_size
-    for i, m in enumerate(entries, start=1):
-        j = alpha(i)
-        if j != 0:
-            out[j - 1] += m
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +94,6 @@ class SummandSet:
 
     def __iter__(self):
         return iter(self.tuples)
-
-    def __contains__(self, entries):
-        entries = tuple(entries)
-        return any(it.entries == entries for it in self.tuples)
 
     def entry_tuples(self):
         return [it.entries for it in self.tuples]
@@ -272,69 +210,14 @@ def partitions_into(n, parts, largest=None):
 
 
 # ---------------------------------------------------------------------------
-# composition
-
-
-def compose_rank(r, s):
-    """Rank of a composite: ranks multiply."""
-    if r < 0 or s < 0:
-        raise ContractViolation("ranks must be non-negative")
-    return r * s
-
-
-def compose_indices(m_tuple, n_tuple):
-    """Compose index tuples; contexts must share the middle matrix rank.
-
-    For M over (k, l) and N over (l, n) the composite lives over (k, n) and
-    consists of all pairwise products m_i * n_j, ordered lexicographically in
-    (i, j).  Its rank is rank(M) * rank(N).
-    """
-    if m_tuple.l != n_tuple.k:
-        raise ContractViolation(
-            "incompatible contexts: (%d, %d) then (%d, %d)"
-            % (m_tuple.k, m_tuple.l, n_tuple.k, n_tuple.l)
-        )
-    entries = tuple(m * n for m in m_tuple.entries for n in n_tuple.entries)
-    return IndexTuple(entries, m_tuple.k, n_tuple.l)
-
-
-# ---------------------------------------------------------------------------
-# primes and the p-local regrading
-
-
-def _least_prime_factor(n):
-    """The smallest prime factor of n >= 2, by trial division."""
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 1
-    return n
-
-
-def is_prime(p):
-    return p >= 2 and _least_prime_factor(p) == p
+# prime powers
 
 
 def is_prime_power(m):
     """True when m = p^e for a prime p and e >= 1.  1 is not a prime power."""
     if m < 2:
         return False
-    p = _least_prime_factor(m)
+    p = next(f for f in range(2, m + 1) if m % f == 0)  # least prime factor
     while m % p == 0:
         m //= p
     return m == 1
-
-
-def regrade_p(m, p):
-    """The p-local filtration stage of m: the i with p^i <= m < p^(i+1)."""
-    if m < 1:
-        raise ContractViolation("need m >= 1")
-    if not is_prime(p):
-        raise ContractViolation("%d is not prime" % p)
-    i = 0
-    q = p
-    while q <= m:
-        i += 1
-        q *= p
-    return i

@@ -34,6 +34,7 @@ finding, never auto-corrected.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from . import cartan
@@ -62,14 +63,6 @@ class DecompositionType:
     def of(parts):
         return DecompositionType(tuple(sorted(parts, reverse=True)))
 
-    @property
-    def ambient(self):
-        return sum(self.parts)
-
-    @property
-    def is_proper(self):
-        return len(self.parts) >= 2
-
     def merges(self):
         """Proper types reached by merging two parts; none below three parts."""
         ps = self.parts
@@ -87,11 +80,6 @@ def enumerate_decomposition_types(m, parts):
     if not 1 <= parts <= m:
         raise ContractViolation("need 1 <= parts <= m")
     return {DecompositionType(p) for p in partitions_into(m, parts)}
-
-
-def tensor(a, b):
-    """Tensor product of decomposition types: all pairwise products of parts."""
-    return DecompositionType.of(x * y for x in a.parts for y in b.parts)
 
 
 def connectivity(m):
@@ -187,13 +175,6 @@ class ChainType:
 
         return ChainType(self.m, rec(self.root, depth))
 
-    def stabilizer_units(self):
-        """Isotropy structure: leaf blocks under the tree's wreath symmetry."""
-        u = _node_unit(self.root)
-        if isinstance(u, Bunch):
-            return u.units
-        return (u,)
-
 
 def _canon_tree(node):
     dim, children = node
@@ -230,21 +211,21 @@ def _check_levels(root):
                 raise ContractViolation("children dimensions do not sum to the node dimension")
 
 
-def _node_unit(node):
+def _node_unit(node, l):
+    """Isotropy of a chain subtree: each leaf a block of tensor multiplicity
+    ``l``, each run of identical sibling subtrees permuted by a wreath.
+
+    Single classes and nested bunches are left for ``canonicalize`` to
+    flatten.
+    """
     dim, children = node
     if not children:
-        return Block(dim)
+        return Block(dim, l)
     classes = []
-    i = 0
-    while i < len(children):
-        j = i
-        while j < len(children) and children[j] == children[i]:
-            j += 1
-        inner = _node_unit(children[i])
-        classes.append(inner if j - i == 1 else Wreath(inner, j - i))
-        i = j
-    if len(classes) == 1:
-        return classes[0]
+    for child, run in itertools.groupby(children):
+        copies = len(tuple(run))
+        inner = _node_unit(child, l)
+        classes.append(inner if copies == 1 else Wreath(inner, copies))
     return Bunch(tuple(classes))
 
 
@@ -307,18 +288,7 @@ def stabilizer(chain, l=1, k=None):
         k = m * l
     if l < 1 or k < l * m:
         raise ContractViolation("need l >= 1 and k >= l*m")
-    units = chain.stabilizer_units()
-    if l > 1:
-        units = tuple(_tensor_unit(u, l) for u in units)
-    return OrbitDescriptor(k, units, k - l * m).canonicalize()
-
-
-def _tensor_unit(u, l):
-    if isinstance(u, Block):
-        return Block(u.size, u.mult * l)
-    if isinstance(u, Wreath):
-        return Wreath(_tensor_unit(u.inner, l), u.copies)
-    return Bunch(tuple(_tensor_unit(v, l) for v in u.units))
+    return OrbitDescriptor(k, (_node_unit(chain.root, l),), k - l * m).canonicalize()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Matrices are lists of sparse integer rows (dict column -> coefficient).
 Elimination is fraction free: a two-term integer cross-multiplication
 followed by a content strip, with a cheap Markowitz-style pivot choice
 (sparsest row, then sparsest column within it).  No floating point is
-used anywhere.
+used anywhere.  The tests check every rank against dense Fraction
+elimination, a separate implementation kept beside them.
 
 The sparsest row comes from a lazy heap of ``(length, row id)`` entries:
 a row whose length changes during elimination is pushed again, and a
@@ -87,33 +88,4 @@ def sparse_rank(rows):
                     heappush(heap, (len(row), rid))
             else:
                 del active[rid]
-    return rank
-
-
-def dense_rank_fractions(rows, ncols):
-    """Reference rank via dense Fraction elimination (for cross-checking)."""
-    from fractions import Fraction
-
-    mat = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
-    rank = 0
-    prow = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(prow, len(mat)):
-            if mat[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[prow], mat[piv] = mat[piv], mat[prow]
-        pv = mat[prow][col]
-        for r in range(prow + 1, len(mat)):
-            f = mat[r][col] / pv
-            if f:
-                for c in range(col, ncols):
-                    mat[r][c] -= f * mat[prow][c]
-        prow += 1
-        rank += 1
-        if prow == len(mat):
-            break
     return rank

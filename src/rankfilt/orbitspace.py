@@ -17,7 +17,9 @@ dimensions of H*(U(k)/H; Q) are computed by a Molien average over the
 induced subgroup W of the symmetric group S_k: in each even degree 2d the
 dimension is the multiplicity of the trivial character in the degree-d part
 of the coinvariant algebra of S_k.  The average is taken over cycle types
-with class-size weights (a cycle index), never element by element.
+with class-size weights (a cycle index), never element by element.  The
+average is cross-checked in the tests against flag-manifold polynomials
+built from Gaussian binomials, a route that shares no code with this one.
 
 Grading convention, fixed globally: one power of q is cohomological degree 2
 (complex cells), so all Poincare polynomials substitute q -> t^2.
@@ -442,15 +444,6 @@ def descriptor_cycle_index(d):
     return ci_product(sym_cycle_index(d.complement), _unit_cycle_index(Bunch(d.units)))
 
 
-def group_order(cycle_index, n):
-    """Order of the group behind a cycle index on n points."""
-    ident = tuple([1] * n)
-    w = cycle_index.get(ident)
-    if not w:
-        raise ValueError("cycle index has no identity term")
-    return int(Fraction(1) / w)
-
-
 # ---------------------------------------------------------------------------
 # coinvariant characters and the Molien average
 
@@ -486,44 +479,3 @@ def molien_poincare(d):
     if p[0] != 1 or any(c < 0 for c in p.coeffs.values()):
         raise ArithmeticError("Molien average is not a Poincare polynomial: %s" % p.pretty("q"))
     return p.substitute_power(2)
-
-
-# ---------------------------------------------------------------------------
-# independent flag-manifold oracle
-
-_gauss_cache = {}
-
-
-def gaussian_binomial(n, j):
-    """Gaussian binomial [n choose j]_q via the Pascal recursion.
-
-    Independent of the Molien engine on purpose: this is the oracle side of
-    the dual-route check.
-    """
-    if j < 0 or j > n:
-        return Poly.zero()
-    if j == 0 or j == n:
-        return Poly.one()
-    key = (n, min(j, n - j))
-    got = _gauss_cache.get(key)
-    if got is None:
-        j = key[1]
-        got = gaussian_binomial(n - 1, j - 1) + gaussian_binomial(n - 1, j) * Poly.monomial(j)
-        _gauss_cache[key] = got
-    return got
-
-
-def flag_poincare_oracle(composition):
-    """Poincare polynomial of the flag manifold of a composition (k_1, ..., k_r).
-
-    Computed as a product of Gaussian binomials, then regraded q -> t^2.
-    """
-    composition = tuple(composition)
-    if any(c < 0 for c in composition):
-        raise DescriptorError("composition parts must be non-negative")
-    acc = Poly.one()
-    total = 0
-    for c in composition:
-        total += c
-        acc = acc * gaussian_binomial(total, c)
-    return acc.substitute_power(2)

@@ -41,10 +41,6 @@ class Poly:
         return Poly({0: 1}, truncation)
 
     @staticmethod
-    def monomial(degree, coeff=1, truncation=None):
-        return Poly({degree: coeff}, truncation)
-
-    @staticmethod
     def one_minus(degree):
         """1 - x^degree, exact."""
         return Poly({0: 1, degree: -1})

@@ -35,15 +35,6 @@ DEFAULT_M_MAX = 4
 DEFAULT_K_CAP = 8
 
 
-class Vanishes(Exception):
-    """The requested mapping spectrum is contractible (l > k)."""
-
-    def __init__(self, k, l):
-        self.k = k
-        self.l = l
-        super().__init__("l > k: the (%d, %d) mapping spectrum is contractible" % (k, l))
-
-
 def vanishing_check(k, l):
     """True iff the (k, l) mapping spectrum vanishes, i.e. l > k.
 
@@ -64,17 +55,6 @@ def vanishing_check(k, l):
 def first_stage_descriptor(k, l):
     """Embeddings of C^l in C^k modulo scalars: U(k)/(U(1) (x) I_l x U(k-l))."""
     return OrbitDescriptor(k, (Block(1, l),), k - l).canonicalize()
-
-
-def first_stage_poincare(k, l, cutoff=None):
-    """Rational homology of the (k, l) spectrum via its first stage.
-
-    Exact (Molien) for l = 1; otherwise the Cartan engine truncates at
-    ``cutoff``.  Raises :class:`Vanishes` when l > k.
-    """
-    if vanishing_check(k, l):
-        raise Vanishes(k, l)
-    return cartan.poincare(first_stage_descriptor(k, l), cutoff=cutoff)
 
 
 @dataclass(frozen=True)
@@ -102,9 +82,11 @@ class SubquotientVerdict:
 def subquotient_rational_check(k, l, m, cutoff=None, basis_budget=cartan.DEFAULT_BASIS_BUDGET):
     """Verify rational triviality of the stage-m subquotient of the (k, l) spectrum.
 
-    Runs the generalized cube over C^m with isotropy tensored by I_l and a
-    complement U(k - l*m).  A failed edge or signed sum is returned as a
-    structured counterexample report, not raised.
+    Runs the generalized cube over C^m, whose vertex isotropy comes from
+    ``decomp.stabilizer(chain, l, k)``: every leaf block carries tensor
+    multiplicity l and a complement U(k - l*m) is added.  A failed edge or
+    signed sum is returned as a structured counterexample report, not
+    raised.
     """
     if not 2 <= m <= k // l:
         raise ContractViolation("need 2 <= m <= floor(k/l)")
@@ -167,6 +149,8 @@ def ku_limit_series(l, t, cutoff, max_rank=1, sample_ks=()):
     verified to stabilize to the product of classifying-space series as the
     ambient rank grows through ``sample_ks`` (no check when it is empty).
     """
+    if l < 1:
+        raise ContractViolation("need l >= 1")
     if t < 1:
         raise ContractViolation("need t >= 1")
     if max_rank < 1:

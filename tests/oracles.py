@@ -1,0 +1,202 @@
+"""Reference implementations the tests compare the engines against.
+
+None of these is reached from the ``rankfilt`` command line; they live
+beside the tests so that the oracle side of every cross-check is visibly
+separate from the engine side.  Each one reaches its answer by a route
+that shares no code with the engine it checks:
+
+* ``gaussian_binomial`` and ``flag_poincare_oracle`` build flag-manifold
+  Poincare polynomials from the q-Pascal recursion.  The Molien engine
+  averages coinvariant characters over a cycle index instead, so the two
+  meet only in the answer.
+* ``dense_rank_fractions`` is textbook Gaussian elimination over Fraction
+  on a dense matrix, with the first nonzero entry of each column as pivot.
+  ``linalg.sparse_rank`` is fraction-free integer elimination on sparse
+  rows with a Markowitz pivot order.
+* ``verify_d_squared`` multiplies the full (non-invariant) matrices of the
+  Koszul differential in two consecutive degrees and checks that the
+  product is zero.  It uses the complex's own rows but no rank and no orbit
+  representatives, so it tests the differential that every rank is taken
+  of.
+* ``PointedMap``, ``pushforward``, ``compose_rank`` and ``compose_indices``
+  spell out the functoriality of the index calculus (maps of pointed sets
+  push multiplicities forward; composition multiplies ranks).  They are the
+  objects of the combinatorial property suites, built on ``IndexTuple``
+  alone.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from rankfilt.cartan import InvariantViolation
+from rankfilt.combinat import ContractViolation, IndexTuple
+from rankfilt.poly import Poly
+
+# ---------------------------------------------------------------------------
+# flag manifolds
+
+
+_gauss_cache = {}
+
+
+def gaussian_binomial(n, j):
+    """Gaussian binomial [n choose j]_q via the Pascal recursion."""
+    if j < 0 or j > n:
+        return Poly.zero()
+    if j == 0 or j == n:
+        return Poly.one()
+    key = (n, min(j, n - j))
+    got = _gauss_cache.get(key)
+    if got is None:
+        j = key[1]
+        got = gaussian_binomial(n - 1, j - 1) + gaussian_binomial(n - 1, j) * Poly({j: 1})
+        _gauss_cache[key] = got
+    return got
+
+
+def flag_poincare_oracle(composition):
+    """Poincare polynomial of the flag manifold of a composition (k_1, ..., k_r).
+
+    Computed as a product of Gaussian binomials, then regraded q -> t^2.
+    """
+    acc = Poly.one()
+    total = 0
+    for c in composition:
+        total += c
+        acc = acc * gaussian_binomial(total, c)
+    return acc.substitute_power(2)
+
+
+# ---------------------------------------------------------------------------
+# linear algebra
+
+
+def dense_rank_fractions(rows, ncols):
+    """Rank over Q by dense Fraction elimination of rows {column: value}."""
+    mat = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
+    rank = 0
+    prow = 0
+    for col in range(ncols):
+        piv = None
+        for r in range(prow, len(mat)):
+            if mat[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            continue
+        mat[prow], mat[piv] = mat[piv], mat[prow]
+        pv = mat[prow][col]
+        for r in range(prow + 1, len(mat)):
+            f = mat[r][col] / pv
+            if f:
+                for c in range(col, ncols):
+                    mat[r][c] -= f * mat[prow][c]
+        prow += 1
+        rank += 1
+        if prow == len(mat):
+            break
+    return rank
+
+
+def verify_d_squared(kc, degrees):
+    """Check d(d(b)) == 0 on every full basis element of ``kc`` in ``degrees``."""
+    for d in degrees:
+        rows = kc._image_rows(d, invariants=False)
+        rows_next = kc._image_rows(d + 1, invariants=False)
+        for row in rows:
+            acc = {}
+            for j, v in row.items():
+                for j2, v2 in rows_next[j].items():
+                    acc[j2] = acc.get(j2, 0) + v * v2
+            if any(acc.values()):
+                raise InvariantViolation("d^2 != 0 in degree %d" % d)
+    return True
+
+
+# ---------------------------------------------------------------------------
+# pointed maps and composition of index tuples
+
+
+@dataclass(frozen=True)
+class PointedMap:
+    """A basepoint-preserving function [t] -> [s], with 0 the basepoint.
+
+    ``values[i-1]`` is the image of i for 1 <= i <= t; the basepoint's image
+    is implicitly 0 and not stored.
+    """
+
+    source_size: int
+    target_size: int
+    values: tuple
+
+    def __post_init__(self):
+        if self.source_size < 0 or self.target_size < 0:
+            raise ContractViolation("negative set size")
+        if len(self.values) != self.source_size:
+            raise ContractViolation("value list does not match source size")
+        for v in self.values:
+            if not 0 <= v <= self.target_size:
+                raise ContractViolation("value %r outside [0..%d]" % (v, self.target_size))
+
+    @staticmethod
+    def identity(t):
+        return PointedMap(t, t, tuple(range(1, t + 1)))
+
+    def __call__(self, i):
+        if i == 0:
+            return 0
+        return self.values[i - 1]
+
+    def compose(self, other):
+        """self after other: [r] -> [t] -> [s]."""
+        if other.target_size != self.source_size:
+            raise ContractViolation("composition size mismatch")
+        return PointedMap(
+            other.source_size,
+            self.target_size,
+            tuple(self(v) for v in other.values),
+        )
+
+
+def pushforward(alpha, entries):
+    """Push a tuple of multiplicities forward along a pointed map.
+
+    Entry j of the result sums the entries of ``entries`` mapping to j;
+    entries sent to the basepoint are discarded.
+    """
+    entries = tuple(entries)
+    if alpha.source_size != len(entries):
+        raise ContractViolation(
+            "map source [%d] does not match tuple length %d" % (alpha.source_size, len(entries))
+        )
+    out = [0] * alpha.target_size
+    for i, m in enumerate(entries, start=1):
+        j = alpha(i)
+        if j != 0:
+            out[j - 1] += m
+    return tuple(out)
+
+
+def compose_rank(r, s):
+    """Rank of a composite: ranks multiply."""
+    if r < 0 or s < 0:
+        raise ContractViolation("ranks must be non-negative")
+    return r * s
+
+
+def compose_indices(m_tuple, n_tuple):
+    """Compose index tuples; contexts must share the middle matrix rank.
+
+    For M over (k, l) and N over (l, n) the composite lives over (k, n) and
+    consists of all pairwise products m_i * n_j, ordered lexicographically in
+    (i, j).  Its rank is rank(M) * rank(N).
+    """
+    if m_tuple.l != n_tuple.k:
+        raise ContractViolation(
+            "incompatible contexts: (%d, %d) then (%d, %d)"
+            % (m_tuple.k, m_tuple.l, n_tuple.k, n_tuple.l)
+        )
+    entries = tuple(m * n for m in m_tuple.entries for n in n_tuple.entries)
+    return IndexTuple(entries, m_tuple.k, n_tuple.l)

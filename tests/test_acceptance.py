@@ -8,15 +8,18 @@ all tolerances are equality, all cutoffs are fixed here.
 import random
 import time
 
-from rankfilt.cartan import cartan_cohomology
-from rankfilt.combinat import (
-    IndexTuple,
+from oracles import (
     PointedMap,
     compose_indices,
     compose_rank,
+    flag_poincare_oracle,
+    pushforward,
+)
+from rankfilt.cartan import cartan_cohomology, poincare
+from rankfilt.combinat import (
+    IndexTuple,
     enumerate_summands,
     latching_quotient,
-    pushforward,
     rank_bound,
 )
 from rankfilt.decomp import cube_report
@@ -25,12 +28,11 @@ from rankfilt.orbitspace import (
     Bunch,
     OrbitDescriptor,
     Wreath,
-    flag_poincare_oracle,
     molien_poincare,
 )
 from rankfilt.poly import Poly, prod
 from rankfilt.spectra import (
-    first_stage_poincare,
+    first_stage_descriptor,
     ku_limit_series,
     pi0_check,
     small_range_report,
@@ -293,7 +295,8 @@ def test_criterion_8_ku_limit():
     closed_form = Poly.geometric(2, 12)
     assert series == closed_form
     for k in range(8, 13):
-        cp = first_stage_poincare(k, 1)  # exact polynomial of CP^(k-1)
+        assert not vanishing_check(k, 1)
+        cp = poincare(first_stage_descriptor(k, 1))  # exact polynomial of CP^(k-1)
         assert cp.agrees(closed_form, through=12), k
     elapsed = time.time() - start
     assert elapsed < 10

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from oracles import flag_poincare_oracle, verify_d_squared
 from rankfilt.cache import memo
 from rankfilt.cartan import (
     EngineMismatch,
@@ -20,7 +21,6 @@ from rankfilt.orbitspace import (
     Bunch,
     OrbitDescriptor,
     Wreath,
-    flag_poincare_oracle,
     molien_poincare,
     parse_descriptor,
     real_dimension,
@@ -87,7 +87,7 @@ def test_d_squared_zero():
         OrbitDescriptor(2, (), 1),
     ]
     for d in cases:
-        KoszulComplex(d).verify_d_squared(range(0, 7))
+        verify_d_squared(KoszulComplex(d), range(0, 7))
 
 
 def test_chern_images_homogeneous():
@@ -167,8 +167,9 @@ def test_dispatcher_routes_and_checks():
 def test_dispatcher_mismatch_raises(monkeypatch):
     import rankfilt.cartan as cartan_mod
 
-    flag = OrbitDescriptor(2, (Block(1), Block(1)), 0)
-    monkeypatch.setattr(cartan_mod, "molien_poincare", lambda d: Poly({0: 1, 2: 7}))
+    # palindromic of top degree dim = 4: only the engine comparison can object
+    flag = OrbitDescriptor(3, (Block(1), Block(2)), 0)
+    monkeypatch.setattr(cartan_mod, "molien_poincare", lambda d: Poly({0: 1, 2: 7, 4: 1}))
     cartan_mod.memo.clear()
     with pytest.raises(EngineMismatch):
         poincare(flag, cutoff=6)

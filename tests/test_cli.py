@@ -63,8 +63,9 @@ def test_poincare_engine_mismatch_exit_code(capsys, monkeypatch):
     from rankfilt.poly import Poly
 
     cartan.memo.clear()
-    monkeypatch.setattr(cartan, "molien_poincare", lambda d: Poly({0: 1, 2: 9}))
-    code, _, err = run(capsys, "poincare", "U(2)/(1)x(1)", "--cutoff", "6")
+    # palindromic of top degree dim = 4: only the engine comparison can object
+    monkeypatch.setattr(cartan, "molien_poincare", lambda d: Poly({0: 1, 2: 9, 4: 1}))
+    code, _, err = run(capsys, "poincare", "U(3)/(1)x(2)", "--cutoff", "6")
     assert code == 3
     assert "mismatch" in err
     cartan.memo.clear()
@@ -304,3 +305,36 @@ def test_truncated_cache_is_ignored(capsys, tmp_path):
     assert "warning: ignoring cache" in err
     # the recomputed value replaced the torn document
     assert json.loads(cache.read_text())["entries"]
+
+
+@pytest.mark.parametrize("key", sorted(cli.CONFIG_DEFAULTS))
+def test_config_integers_are_validated(capsys, tmp_path, key):
+    cfg = tmp_path / "cfg.json"
+    bad_values = ["2", True, False, -1, 2.5, [4]]
+    if key != "default_cutoff":  # null there means the per-descriptor default
+        bad_values.append(None)
+    for bad in bad_values:
+        cfg.write_text(json.dumps({key: bad}))
+        for argv in (["report", "4", "2"], ["cube", "2"]):
+            code, out, err = run(capsys, "--config", str(cfg), *argv)
+            assert code == 2 and out == "" and key in err, (bad, argv)
+            assert "Traceback" not in err
+
+
+def test_ku_series_needs_a_positive_l(capsys):
+    for l in ("0", "-3"):
+        code, out, err = run(capsys, "ku-series", l, "1", "--cutoff", "4")
+        assert code == 2 and out == "" and "need l >= 1" in err, l
+
+
+def test_molien_duality_violation_exit_code(capsys, monkeypatch):
+    from rankfilt import cartan
+    from rankfilt.poly import Poly
+
+    cartan.memo.clear()
+    # palindromic, but U(3)/(1)x(2) has dimension 4, not 2
+    monkeypatch.setattr(cartan, "molien_poincare", lambda d: Poly({0: 1, 2: 1}))
+    code, out, err = run(capsys, "poincare", "U(3)/(1)x(2)")
+    assert code == 6 and out == ""
+    assert "invariant violation" in err and "U(3)/(1)x(2)" in err
+    cartan.memo.clear()

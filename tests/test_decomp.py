@@ -14,7 +14,6 @@ from rankfilt.decomp import (
     enumerate_chain_types,
     enumerate_decomposition_types,
     stabilizer,
-    tensor,
 )
 from rankfilt.poly import Poly
 
@@ -37,24 +36,6 @@ def test_enumerate_decomposition_types():
     assert parts_of(enumerate_decomposition_types(5, 3)) == [(2, 2, 1), (3, 1, 1)]
     with pytest.raises(ContractViolation):
         enumerate_decomposition_types(3, 4)
-
-
-def test_tensor():
-    two_lines = DecompositionType.of([1, 1])
-    three_lines = DecompositionType.of([1, 1, 1])
-    assert tensor(two_lines, three_lines).parts == (1,) * 6
-    assert tensor(DecompositionType.of([2]), two_lines).parts == (2, 2)
-    assert tensor(DecompositionType.of([3]), DecompositionType.of([4])).parts == (12,)
-    assert tensor(DecompositionType.of([2]), two_lines).is_proper
-    assert not tensor(DecompositionType.of([3]), DecompositionType.of([4])).is_proper
-
-
-def test_tensor_counts_multiply():
-    a = DecompositionType.of([2, 1, 1])
-    b = DecompositionType.of([3, 2])
-    out = tensor(a, b)
-    assert len(out.parts) == len(a.parts) * len(b.parts)
-    assert out.ambient == a.ambient * b.ambient
 
 
 def _set_partitions(items):

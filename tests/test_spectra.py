@@ -4,12 +4,13 @@ import json
 
 import pytest
 
+from rankfilt import cartan
 from rankfilt.combinat import ContractViolation, enumerate_summands
+from rankfilt.orbitspace import DescriptorError
 from rankfilt.poly import Poly, prod
 from rankfilt.spectra import (
-    Vanishes,
     bu_poincare,
-    first_stage_poincare,
+    first_stage_descriptor,
     ku_limit_series,
     pi0_check,
     small_range_report,
@@ -21,6 +22,12 @@ from rankfilt.spectra import (
 
 def pu_oracle(k):
     return prod(Poly({0: 1, 2 * i - 1: 1}) for i in range(2, k + 1))
+
+
+def first_stage_poincare(k, l, cutoff=None):
+    """The first-stage polynomial of a non-vanishing (k, l) spectrum."""
+    assert not vanishing_check(k, l)
+    return cartan.poincare(first_stage_descriptor(k, l), cutoff=cutoff)
 
 
 def test_vanishing():
@@ -48,8 +55,9 @@ def test_first_stage_endomorphisms():
 
 
 def test_first_stage_vanishes():
-    with pytest.raises(Vanishes):
-        first_stage_poincare(1, 2)
+    assert vanishing_check(1, 2)
+    with pytest.raises(DescriptorError):
+        first_stage_descriptor(1, 2)
 
 
 def test_first_stage_degree_zero_grid():
