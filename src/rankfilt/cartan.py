@@ -29,16 +29,57 @@ stays over the integers.  That d commutes with the group is verified, not
 assumed, on generators only: the adjacent transpositions of copies at every
 ``Wreath`` node must fix every Chern image.
 
-Everything is graded and computed degree by degree on explicit monomial
-bases with exact sparse elimination; there is no floating point and no
-Groebner machinery.  This engine is deliberately independent of the Molien
-engine so the two can cross-check each other.
+Complete intersections.  Write R = Q[generators of H*(BH_0)], with
+r = ``nvars`` generators (the rank of H_0), and I = (rho_1, ..., rho_k) for
+the Chern images.  H*(BH_0) is a finite module over H*(BU(k)) (Venkov), so
+R/I has finite length and I has height r: it needs at least r generators.
+When exactly r of the rho_i are minimal generators of I they form a regular
+sequence, I is a complete intersection, and in every degree
+
+    H*(U(k)/H_0) = R/I (x) Lambda(y_i : rho_i not minimal)
+
+(P. Baum, "On the cohomology of homogeneous spaces", Topology 7, 1968;
+Felix-Halperin-Thomas, "Rational Homotopy Theory", section 32).  If exactly
+r of the rho_i are nonzero they are all minimal, since fewer than r could
+not cut out a finite-length quotient; no rank is computed then, which
+covers every torus-commensurable descriptor.  Otherwise rho_i is minimal
+when it lies outside the span of the x^alpha rho_j (j < i, rho_j minimal)
+in degree 2i, one ``sparse_rank`` comparison per nonzero rho_i.
+
+The finite part G fixes every rho_i and every y_i, so the cohomology of the
+quotient is (R/I)^G (x) Lambda, and since the Koszul resolution of R/I is
+G-equivariant with G acting trivially on its generators,
+
+    Hilb((R/I)^G) = prod_{i minimal} (1 - t^(2i)) * (1/|G|) sum_g 1/det(1 - g t | V)
+
+for V the span of the polynomial generators.  The average is a sum over
+the cycle index of G on those generators
+(:func:`orbitspace.generator_cycle_index`), built from the wreath tree:
+a cycle of length L through the copies of a generator of degree 2j
+contributes 1 - t^(2jL).  The group is never listed.  The series is
+computed exactly, with Fractions, through the real dimension n; the even
+part must vanish above n - sum_{i not minimal} (2i - 1), which is the top
+degree of R/I.
+
+Every complete-intersection answer is checked against the Koszul ranks in
+the degrees through min(``WITNESS_DEGREES``, n, cutoff), a witness that
+shares only the Chern images with the closed form; a disagreement raises
+:class:`EngineMismatch`.  When I is not a complete intersection the
+Koszul ranks are the answer: every degree through the cutoff is ranked
+and the result keeps that truncation.
+
+Everything else is graded and computed degree by degree on explicit
+monomial bases with exact sparse elimination; there is no floating point
+and no Groebner machinery.  This engine is deliberately independent of the
+Molien engine so the two can cross-check each other.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
+from fractions import Fraction
 from operator import add
 
 from .cache import memo
@@ -48,13 +89,16 @@ from .orbitspace import (
     Block,
     Bunch,
     Wreath,
+    finite_part_order,
+    generator_cycle_index,
     molien_poincare,
     real_dimension,
 )
-from .poly import Poly
+from .poly import Poly, prod
 
 DEFAULT_CUTOFF_CAP = 24
 DEFAULT_BASIS_BUDGET = 500_000
+WITNESS_DEGREES = 8
 
 
 class ResourceLimit(RuntimeError):
@@ -70,22 +114,26 @@ class ResourceLimit(RuntimeError):
 
 
 class EngineMismatch(ArithmeticError):
-    """Molien and Cartan engines disagree: a genuine math bug signal."""
+    """Two independent routes disagree: a genuine math bug signal.
 
-    def __init__(self, descriptor, molien, cartan):
+    ``answers`` holds the (route name, polynomial) pairs, such as Molien
+    against Cartan, or the Koszul witness against the complete intersection.
+    """
+
+    def __init__(self, descriptor, *answers):
         self.descriptor = descriptor
-        self.molien = molien
-        self.cartan = cartan
+        self.answers = answers
         super().__init__(
-            "engines disagree on %s: molien %s vs cartan %s"
-            % (descriptor.canonical_string(), molien.pretty(), cartan.pretty())
+            "routes disagree on %s: %s"
+            % (descriptor.canonical_string(),
+               " vs ".join("%s %s" % (name, p.pretty()) for name, p in answers))
         )
 
 
 class InvariantViolation(AssertionError):
     """A built-in check failed: the finite part does not commute with the
-    differential, a result has b_0 != 1, or a result for connected isotropy
-    breaks Poincare duality."""
+    differential, or a result fails :func:`check_invariants` or the
+    complete-intersection degree bound."""
 
 
 # ---------------------------------------------------------------------------
@@ -333,61 +381,151 @@ class KoszulComplex:
         return out
 
 
-def cartan_cohomology(descriptor, cutoff, basis_budget=DEFAULT_BASIS_BUDGET):
-    """Poincare polynomial of U(k)/H through ``cutoff`` via the Koszul model.
 
-    For a disconnected H the invariant subcomplex is used, which over Q
-    computes the cohomology of the quotient by the finite part, in every
-    degree through ``cutoff``.  For a connected H (no ``Wreath`` with two
-    or more copies) U(k)/H is a closed orientable manifold of dimension
-    n = ``real_dimension``, so Poincare duality gives b_i = b_(n-i): only
-    the degrees through min(cutoff, n // 2) are computed, and each degree
-    i above them is b_(n-i) for i <= n and 0 past n.  Every result must
-    have b_0 = 1, which with the reflection also checks b_n.
+    # -- the complete-intersection route -------------------------------------
+
+    def _minimal_generators(self):
+        """The degrees i whose rho_i minimally generate I, when there are
+        exactly ``nvars`` of them, so that I is a complete intersection;
+        None otherwise.
+
+        rho_i is minimal when it lies outside the span of the multiples
+        x^alpha rho_j (j < i, rho_j minimal) in degree 2i.  When exactly
+        ``nvars`` of the rho_i are nonzero no rank is needed (see the module
+        docstring).
+        """
+        nonzero = [i for i, rho in enumerate(self.chern, start=1) if rho]
+        if len(nonzero) == self.nvars:
+            return nonzero
+        minimal = []
+        for i in nonzero:
+            rows = [
+                {tuple(map(add, alpha, mu)): c for mu, c in self.chern[j - 1].items()}
+                for j in minimal
+                for alpha in self._monomials(2 * (i - j))
+            ]
+            if len(rows) >= self.basis_budget:
+                raise ResourceLimit(2 * i, len(rows) + 1, self.basis_budget)
+            if not rows or sparse_rank(rows + [self.chern[i - 1]]) > sparse_rank(rows):
+                minimal.append(i)
+                if len(minimal) > self.nvars:
+                    return None
+        return minimal if len(minimal) == self.nvars else None
+
+    def complete_intersection(self):
+        """Exact Poincare polynomial when I is a complete intersection, else None.
+
+        P = Hilb((R/I)^G) * prod_{i not minimal} (1 + t^(2i-1)), with the
+        first factor the average over the finite part G of
+        prod_{i minimal} (1 - t^(2i)) / det(1 - g t), taken over the cycle
+        index of G on the polynomial generators through the real dimension.
+        """
+        minimal = self._minimal_generators()
+        if minimal is None:
+            return None
+        d = self.descriptor
+        n = real_dimension(d)
+        free = [i for i in range(1, self.k + 1) if i not in minimal]
+        top = n - sum(2 * i - 1 for i in free)
+        half = n // 2  # in q = t^2
+        series = Poly.zero(half)
+        for part, weight in generator_cycle_index(d).items():
+            series = series + prod((Poly.geometric(m, half) for m in part), half) * weight
+        try:
+            even = (series * prod(Poly.one_minus(i) for i in minimal)).as_integer()
+        except ArithmeticError as exc:
+            raise InvariantViolation("%s for %s" % (exc, d.canonical_string())) from None
+        if 2 * even.degree() > top:
+            raise InvariantViolation(
+                "the invariant quotient R/I of %s has degree %d above %d"
+                % (d.canonical_string(), 2 * even.degree(), top)
+            )
+        return Poly(even.coeffs).substitute_power(2) * prod(
+            Poly({0: 1, 2 * i - 1: 1}) for i in free
+        )
+
+
+def cartan_cohomology(descriptor, cutoff=None, basis_budget=DEFAULT_BASIS_BUDGET):
+    """Poincare polynomial of U(k)/H from the Cartan model.
+
+    Exact (``truncation=None``) on the complete-intersection route, which
+    is memoized once per descriptor and truncated to an explicit ``cutoff``.
+    On the Koszul fallback every degree through ``cutoff`` (default
+    :func:`default_cutoff`) is ranked and the result keeps that truncation.
     """
-    if cutoff < 0:
+    if cutoff is not None and cutoff < 0:
         raise ContractViolation("the cutoff must be >= 0, got %d" % cutoff)
     d = descriptor.canonicalize()
-    key = ("cartan", d.canonical_string(), cutoff)
-
-    def compute():
-        kc = KoszulComplex(d, basis_budget=basis_budget)
-        if kc.generators:
-            dims = kc.cohomology_dims(cutoff)
-        else:
-            n = real_dimension(d)
-            dims = kc.cohomology_dims(min(cutoff, n // 2))
-            dims += [dims[n - i] if i <= n else 0 for i in range(len(dims), cutoff + 1)]
-        if dims[0] != 1:
-            raise InvariantViolation(
-                "b_0 = %d, not 1, for %s" % (dims[0], d.canonical_string())
-            )
-        return Poly(dict(enumerate(dims)), truncation=cutoff)
-
-    return memo.get_or_compute(key, compute)
-
-
-def _molien_checked(d):
-    """Molien polynomial of the canonical descriptor ``d``.
-
-    With connected isotropy U(k)/H is a closed orientable manifold, so the
-    polynomial must be palindromic with top degree the real dimension.  The
-    isotropy is connected when no top-level unit is a ``Wreath``: canonical
-    units are flattened, so a ``Bunch`` and any deeper wreath sit inside one.
-    """
-    p = molien_poincare(d)
-    if not any(isinstance(u, Wreath) for u in d.units) and (
-        p.degree() != real_dimension(d) or not p.is_palindromic()
-    ):
-        raise InvariantViolation(
-            "Poincare duality fails for %s: %s" % (d.canonical_string(), p.pretty())
+    got = memo.get(("cartan", d.canonical_string()))
+    if got is None:
+        through = default_cutoff(d) if cutoff is None else cutoff
+        got = memo.get_or_compute(
+            ("cartan", d.canonical_string(), through),
+            lambda: _cartan(d, through, basis_budget),
         )
+    return got if cutoff is None or not got.is_exact() else got.truncate(cutoff)
+
+
+def _cartan(d, cutoff, basis_budget):
+    """One complex: the complete-intersection route with its Koszul witness
+    through min(WITNESS_DEGREES, dimension, cutoff), or the Koszul ranks
+    through ``cutoff``."""
+    kc = KoszulComplex(d, basis_budget=basis_budget)
+    exact = kc.complete_intersection()
+    if exact is None:
+        return check_invariants(d, Poly(dict(enumerate(kc.cohomology_dims(cutoff))), cutoff))
+    check_invariants(d, exact)
+    through = min(WITNESS_DEGREES, real_dimension(d), cutoff)
+    witness = Poly(dict(enumerate(kc.cohomology_dims(through))), through)
+    if not exact.agrees(witness):
+        raise EngineMismatch(d, ("koszul", witness), ("complete intersection", exact))
+    return memo.get_or_compute(("cartan", d.canonical_string()), lambda: exact)
+
+
+def check_invariants(d, p):
+    """Return ``p`` after the cheap checks every answer for U(k)/H must pass.
+
+    Always: b_0 = 1, no negative coefficient, nothing above the real
+    dimension n.  On an exact answer also: with connected isotropy U(k)/H
+    is a closed orientable manifold, so the top degree is n and ``p`` is
+    palindromic; and the Euler characteristic p(-1) is
+    k! / (prod a_b! * c! * |G|) when rank H_0 = k, else 0.  The isotropy is
+    connected when no top-level unit is a ``Wreath``: canonical units are
+    flattened, so a ``Bunch`` and any deeper wreath sit inside one.
+    """
+    n = real_dimension(d)
+
+    def fail(what):
+        raise InvariantViolation("%s for %s: %s" % (what, d.canonical_string(), p.pretty()))
+
+    if p[0] != 1:
+        fail("b_0 = %d, not 1," % p[0])
+    if any(c < 0 for c in p.coeffs.values()):
+        fail("a negative Betti number")
+    if p.degree() > n:
+        fail("cohomology above the dimension %d" % n)
+    if not p.is_exact():
+        return p
+    if not any(isinstance(u, Wreath) for u in d.units) and (
+        p.degree() != n or not p.is_palindromic()
+    ):
+        fail("Poincare duality fails")
+    sizes = [b.size for b in d.blocks()] + [d.complement]
+    euler = 0
+    if sum(sizes) == d.k:
+        euler = Fraction(math.factorial(d.k), finite_part_order(d) * math.prod(
+            math.factorial(a) for a in sizes))
+    chi = sum(c if deg % 2 == 0 else -c for deg, c in p.coeffs.items())
+    if chi != euler:
+        fail("Euler characteristic %d, not %s," % (chi, euler))
     return p
 
 
 def default_cutoff(descriptor):
-    """Twice the real dimension of the orbit, capped: past the dimension the
-    cohomology is zero, so the factor two is pure safety margin."""
+    """Cutoff of a Koszul fallback called without one: twice the real
+    dimension, capped.  Past the dimension the cohomology is zero, so the
+    factor two is pure safety margin; complete intersections are exact and
+    never use it."""
     return min(max(2 * real_dimension(descriptor), 0), DEFAULT_CUTOFF_CAP)
 
 
@@ -395,19 +533,34 @@ def poincare(descriptor, cutoff=None, engine="auto", basis_budget=DEFAULT_BASIS_
     """Poincare polynomial dispatcher.
 
     Torus-commensurable descriptors go to the Molien engine and come back
-    exact; everything else goes to the Cartan engine truncated at ``cutoff``
-    (defaulting to :func:`default_cutoff`).  In ``auto`` mode with an explicit
-    cutoff both engines run when both apply and must agree; disagreement
-    raises :class:`EngineMismatch` rather than picking a side.
+    exact; everything else goes to :func:`cartan_cohomology`, exact on the
+    complete-intersection route and truncated at ``cutoff`` (default
+    :func:`default_cutoff`) on the Koszul fallback.  In ``auto`` mode with
+    an explicit cutoff both engines run when both apply and must agree;
+    disagreement raises :class:`EngineMismatch` rather than picking a side.
+    Each new Molien answer then meets :func:`check_invariants`.
     """
     if engine not in ("molien", "cartan", "auto"):
         raise ValueError("unknown engine %r" % (engine,))
     d = descriptor.canonicalize()
     if engine == "molien" or (engine == "auto" and d.is_torus_commensurable()):
-        p = memo.get_or_compute(("molien", d.canonical_string()), lambda: _molien_checked(d))
-        if engine == "auto" and cutoff is not None:
-            q = cartan_cohomology(d, cutoff, basis_budget)
-            if not p.agrees(q, cutoff):
-                raise EngineMismatch(d, p, q)
+        compare = engine == "auto" and cutoff is not None
+        q = cartan_cohomology(d, cutoff, basis_budget) if compare else None
+        p = memo.get_or_compute(("molien", d.canonical_string()), lambda: _molien_checked(d, q))
+        _cross_check(d, p, q)
         return p
-    return cartan_cohomology(d, default_cutoff(d) if cutoff is None else cutoff, basis_budget)
+    return cartan_cohomology(d, cutoff, basis_budget)
+
+
+def _molien_checked(d, cartan):
+    """Molien polynomial of ``d``, compared with the Cartan answer (when
+    there is one) before :func:`check_invariants`: a disagreement between
+    the engines is the finding to report."""
+    p = molien_poincare(d)
+    _cross_check(d, p, cartan)
+    return check_invariants(d, p)
+
+
+def _cross_check(d, molien, cartan):
+    if cartan is not None and not molien.agrees(cartan):
+        raise EngineMismatch(d, ("molien", molien), ("cartan", cartan))

@@ -4,18 +4,29 @@ Exit codes, so CI can tell math findings from plumbing failures:
 
     0   success, all requested verifications passed
     2   usage error (bad arguments or unparsable descriptor)
-    3   engine mismatch: Molien and Cartan disagree (a math bug signal)
+    3   engine mismatch: Molien and Cartan disagree, or the Cartan
+        engine's complete-intersection answer disagrees with its Koszul
+        witness (a math bug signal)
     4   a verification verdict failed (the report is still emitted)
     5   resource limit hit (the offending degree is reported)
     6   invariant violation: a result failed a built-in check such as
-        b_0 = 1 (a math bug signal)
+        b_0 = 1, the dimension bound, Poincare duality or the Euler
+        characteristic (a math bug signal)
+
+Without a cutoff (``--cutoff`` or the config's ``default_cutoff``) a
+Cartan answer is exact when the Chern images cut out a complete
+intersection, and otherwise truncated at a per-descriptor default; a
+cutoff always truncates.  ``poincare --json`` states the truncation as
+``cutoff`` and ``report --json`` as ``first_stage_cutoff``, null when the
+answer is exact.
 
 Output is deterministic: JSON is emitted with sorted keys, and polynomial
 maps are keyed by degree in sorted order.  A persistent JSON result cache
 can be pointed at with ``--cache`` or the RANKFILT_CACHE environment
 variable; a corrupt cache is ignored with a warning, never fatal.
 Defaults (cutoffs, the cube size guard, the basis budget) can be set in a
-JSON config file via ``--config`` or RANKFILT_CONFIG.
+JSON config file via ``--config`` or RANKFILT_CONFIG; a config that is not
+a JSON object, or a key it does not know, draws a warning on stderr.
 """
 
 from __future__ import annotations
@@ -39,7 +50,7 @@ EXIT_VERIFICATION = 4
 EXIT_RESOURCE = 5
 EXIT_INVARIANT = 6
 
-ENGINE_VERSION = "rankfilt-0.1.0"
+ENGINE_VERSION = "rankfilt-0.2.0"
 
 CONFIG_DEFAULTS = {
     "default_cutoff": None,  # None: per-descriptor default inside the engine
@@ -50,18 +61,29 @@ CONFIG_DEFAULTS = {
 
 
 def load_config(path):
+    """Defaults overlaid with the JSON object at ``path`` (or RANKFILT_CONFIG).
+
+    A file that cannot be read or is not a JSON object is ignored with a
+    warning; unknown keys are ignored with one warning that names them.
+    """
     cfg = dict(CONFIG_DEFAULTS)
     if not path:
         path = os.environ.get("RANKFILT_CONFIG")
-    if path:
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-            for key in cfg:
-                if key in data:
-                    cfg[key] = data[key]
-        except (OSError, ValueError) as exc:
-            print("warning: ignoring config %s (%s)" % (path, exc), file=sys.stderr)
+    if not path:
+        return cfg
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("not a JSON object")
+    except (OSError, ValueError) as exc:
+        print("warning: ignoring config %s (%s)" % (path, exc), file=sys.stderr)
+        return cfg
+    unknown = sorted(set(data) - set(cfg))
+    if unknown:
+        print("warning: ignoring unknown config keys in %s: %s" % (path, ", ".join(unknown)),
+              file=sys.stderr)
+    cfg.update((key, data[key]) for key in cfg if key in data)
     return cfg
 
 
@@ -394,8 +416,8 @@ def main(argv=None):
         return args.func(args, cfg)
     except cartan.EngineMismatch as exc:
         print("engine mismatch on %s" % exc.descriptor.canonical_string(), file=sys.stderr)
-        print("  molien: %s" % exc.molien.pretty(), file=sys.stderr)
-        print("  cartan: %s" % exc.cartan.pretty(), file=sys.stderr)
+        for name, poly in exc.answers:
+            print("  %s: %s" % (name, poly.pretty()), file=sys.stderr)
         return EXIT_ENGINE_MISMATCH
     except cartan.InvariantViolation as exc:
         print("invariant violation: %s" % exc, file=sys.stderr)

@@ -414,19 +414,34 @@ def ci_plethysm(outer, inner):
     return out
 
 
-def _unit_cycle_index(u):
+def _weyl_leaf(b):
+    """The symmetric group on the points of a block of tensor multiplicity 1."""
+    if b.mult != 1:
+        raise NotTorusCommensurable(
+            "not torus-commensurable: block of tensor multiplicity %d" % b.mult
+        )
+    return sym_cycle_index(b.size)
+
+
+def _generator_leaf(size):
+    """Fixed generators of degrees 2, 4, ..., 2*size of H*(BU(size)).
+
+    A generator of degree 2j is recorded as a cycle of length j, so that
+    scaling by the length L of a cycle of copies (``ci_plethysm``) gives the
+    factor 1 - q^(jL) = 1 - t^(2jL) of det(1 - g t) on the copies.
+    """
+    return {tuple(range(size, 0, -1)): Fraction(1)}
+
+
+def _unit_cycle_index(u, leaf):
     if isinstance(u, Block):
-        if u.mult != 1:
-            raise NotTorusCommensurable(
-                "not torus-commensurable: block of tensor multiplicity %d" % u.mult
-            )
-        return sym_cycle_index(u.size)
+        return leaf(u)
     if isinstance(u, Wreath):
-        return ci_plethysm(sym_cycle_index(u.copies), _unit_cycle_index(u.inner))
+        return ci_plethysm(sym_cycle_index(u.copies), _unit_cycle_index(u.inner, leaf))
     if isinstance(u, Bunch):
         z = {(): Fraction(1)}
         for v in u.units:
-            z = ci_product(z, _unit_cycle_index(v))
+            z = ci_product(z, _unit_cycle_index(v, leaf))
         return z
     raise DescriptorError("unknown unit %r" % (u,))
 
@@ -441,7 +456,36 @@ def descriptor_cycle_index(d):
         raise NotTorusCommensurable(
             "not torus-commensurable: %s" % d.canonical_string()
         )
-    return ci_product(sym_cycle_index(d.complement), _unit_cycle_index(Bunch(d.units)))
+    units = _unit_cycle_index(Bunch(d.units), _weyl_leaf)
+    return ci_product(sym_cycle_index(d.complement), units)
+
+
+def generator_cycle_index(d):
+    """Cycle index of the finite part acting on the generators of H*(BH_0).
+
+    Each leaf block of size a has generators in degrees 2, ..., 2a and the
+    complement U(c) in degrees 2, ..., 2c; the finite part permutes the
+    generators of identical blocks.  A cycle of length m in a cycle type
+    stands for the factor 1 - q^m of det(1 - g q) on the generators, with
+    q = t^2, so (1/|G|) sum_g 1/det(1 - g q) is the sum over cycle types of
+    the weight divided by prod (1 - q^m).  Tensor multiplicities and a
+    fixed subspace change no generator, so every descriptor has this index.
+    """
+    units = _unit_cycle_index(Bunch(d.units), lambda b: _generator_leaf(b.size))
+    return ci_product(_generator_leaf(d.complement), units)
+
+
+def finite_part_order(d):
+    """|H / H_0|: copies! * |inner|^copies at every ``Wreath`` node."""
+
+    def order(u):
+        if isinstance(u, Wreath):
+            return math.factorial(u.copies) * order(u.inner) ** u.copies
+        if isinstance(u, Bunch):
+            return math.prod(order(v) for v in u.units)
+        return 1
+
+    return order(Bunch(d.units))
 
 
 # ---------------------------------------------------------------------------

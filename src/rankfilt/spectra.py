@@ -228,6 +228,7 @@ class FiltrationReport:
         )
 
     def to_json(self):
+        first = self.first_stage
         out = {
             "k": self.k,
             "l": self.l,
@@ -235,7 +236,9 @@ class FiltrationReport:
             "length": self.length,
             "one_stage": self.one_stage,
             "pi0": self.pi0,
-            "first_stage": None if self.first_stage is None else self.first_stage.to_map(),
+            "first_stage": None if first is None else first.to_map(),
+            # the degree the first stage is known through; null when exact
+            "first_stage_cutoff": None if first is None else first.truncation,
             "stages": [s.to_json() for s in self.stages],
             "verified": self.verified,
             "note": self.note,

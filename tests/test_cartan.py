@@ -16,6 +16,7 @@ from rankfilt.cartan import (
     poincare,
 )
 from rankfilt.combinat import ContractViolation
+from rankfilt.decomp import enumerate_chain_types, stabilizer
 from rankfilt.orbitspace import (
     Block,
     Bunch,
@@ -159,7 +160,7 @@ def test_dispatcher_routes_and_checks():
     stiefel = OrbitDescriptor(2, (), 1)
     q = poincare(stiefel, cutoff=7)
     assert q.truncation == 7 and q.agrees(Poly({0: 1, 3: 1}))
-    assert poincare(stiefel).truncation == default_cutoff(stiefel)
+    assert poincare(stiefel) == Poly({0: 1, 3: 1})
     with pytest.raises(ValueError):
         poincare(flag, engine="nonsense")
 
@@ -335,7 +336,7 @@ def test_broken_symmetry_is_caught_on_generators():
     Lopsided(parse_descriptor("U(5)/S2wrS2wr(1)x(1)"))
 
 
-# -- connected isotropy: half the degrees, then Poincare duality --------------
+# -- the complete-intersection route against the full Koszul cohomology ------
 
 
 def _connected_descriptors(k_max, dim_max):
@@ -361,29 +362,109 @@ def _connected_descriptors(k_max, dim_max):
 
 
 def test_duality_route_matches_every_degree():
+    # connected isotropy: every degree of the complete-intersection route,
+    # truncated or exact, is the full Koszul cohomology
     seen = _connected_descriptors(5, 24)
     assert len(seen) > 100
     for text, d in seen.items():
         n = real_dimension(d)
         full = KoszulComplex(d).cohomology_dims(n + 3)
         assert full[n] == 1 and full[n + 1:] == [0, 0, 0], text
+        exact = cartan_cohomology(d)
+        assert exact.is_exact() and exact.agrees(Poly(dict(enumerate(full)), n + 3)), text
         for cutoff in (n // 2, n, n + 3):
             got = cartan_cohomology(d, cutoff)
             assert got.truncation == cutoff, text
             assert [got[i] for i in range(cutoff + 1)] == full[: cutoff + 1], (text, cutoff)
 
 
+def _with_finite_part():
+    """Descriptors with a finite part, some with tensor multiplicity or a
+    fixed subspace, among them the stabilizers of ``cube 3 --l 2 --k 8``."""
+    seen = {}
+    for k in range(2, 6):
+        for weight in range(2, k + 1):
+            for units in _unit_lists(weight):
+                d = OrbitDescriptor(k, units, k - weight).canonicalize()
+                if "wr" in d.canonical_string():
+                    seen[d.canonical_string()] = d
+    for text in ["U(5)/S2wr(1,2)xU(1)", "U(5)/S2wr(1,2)", "U(7)/S2wr(1,2)xU(3)",
+                 "U(6)/S2wr(1,2)xS2wr(1)", "U(8)/S4wr(1,2)", "U(6)/S2wrS2wr(1)x(2)"]:
+        seen[text] = parse_descriptor(text)
+    for subset in [(), (2,), (3,), (2, 3)]:
+        for chain in enumerate_chain_types(3, subset):
+            d = stabilizer(chain, 2, 8)
+            if "wr" in d.canonical_string():
+                seen[d.canonical_string()] = d
+    return seen
+
+
+def test_finite_part_route_matches_invariant_koszul():
+    seen = _with_finite_part()
+    assert len(seen) > 30 and "U(8)/S3wr(1,2)xU(2)" in seen
+    for text, d in seen.items():
+        exact = cartan_cohomology(d)
+        assert exact.is_exact(), text
+        through = min(real_dimension(d), 16)
+        full = KoszulComplex(d).cohomology_dims(through)
+        assert [exact[i] for i in range(through + 1)] == full, text
+
+
+def test_forced_fallback_gives_the_koszul_ranks(monkeypatch):
+    monkeypatch.setattr(KoszulComplex, "_minimal_generators", lambda self: None)
+    memo.clear()
+    for text in ["U(4)/(1,2)xU(2)", "U(4)/S2wr(1)xU(2)", "U(3)/(1)x(2)"]:
+        d = parse_descriptor(text)
+        cutoff = default_cutoff(d)
+        got = cartan_cohomology(d)
+        assert got.truncation == cutoff, text
+        assert got == Poly(dict(enumerate(KoszulComplex(d).cohomology_dims(cutoff))), cutoff)
+        assert cartan_cohomology(d, 5) == got.truncate(5), text
+    memo.clear()
+
+
+def test_rank_test_finds_the_minimal_generators():
+    # (1 + u)^2 (1 + w): rho_1 = 2u + w and rho_2 = u^2 + 2uw generate I,
+    # rho_3 = u^2 w is redundant
+    kc = KoszulComplex(parse_descriptor("U(3)/(1,2)xU(1)"))
+    assert kc._minimal_generators() == [1, 2]
+    # torus-commensurable: all k Chern images are nonzero, no rank needed
+    assert KoszulComplex(parse_descriptor("U(4)/S2wr(1)xU(2)"))._minimal_generators() == [
+        1, 2, 3, 4]
+    # trivial isotropy: no generators, every y_i is free
+    assert KoszulComplex(OrbitDescriptor(2, (), 0))._minimal_generators() == []
+    assert cartan_cohomology(OrbitDescriptor(2, (), 0)) == pu_oracle(2) * Poly({0: 1, 1: 1})
+
+
+def test_rank_tests_respect_the_basis_budget():
+    memo.clear()
+    with pytest.raises(ResourceLimit) as exc:
+        KoszulComplex(first_stage_descriptor(8, 3), basis_budget=4)._minimal_generators()
+    assert exc.value.budget == 4 and exc.value.degree % 2 == 0
+
+
+def test_witness_disagreement_is_an_engine_mismatch(monkeypatch):
+    # palindromic of top degree 7 with Euler characteristic 0: it passes every
+    # invariant, and only the Koszul witness can object
+    fake = Poly({0: 1, 1: 1, 6: 1, 7: 1})
+    monkeypatch.setattr(KoszulComplex, "complete_intersection", lambda self: fake)
+    memo.clear()
+    with pytest.raises(EngineMismatch) as exc:
+        cartan_cohomology(parse_descriptor("U(3)/(1,2)xU(1)"))
+    assert [name for name, _ in exc.value.answers] == ["koszul", "complete intersection"]
+    memo.clear()
+
+
 def test_first_stage_closed_form_through_the_dimension():
-    # P = [k-l+1]_{t^2} * prod_{i=k-l+2}^{k} (1 + t^(2i-1))
-    for k in range(1, 8):
+    # P = [k-l+1]_{t^2} * prod_{i=k-l+2}^{k} (1 + t^(2i-1)), exact
+    for k in range(1, 13):
         for l in range(1, k + 1):
             d = first_stage_descriptor(k, l)
-            n = real_dimension(d)
             closed = Poly({2 * j: 1 for j in range(k - l + 1)}) * prod(
                 Poly({0: 1, 2 * i - 1: 1}) for i in range(k - l + 2, k + 1)
             )
-            got = cartan_cohomology(d, n)
-            assert got.truncation == n and got.agrees(closed, n), (k, l)
+            got = poincare(d)
+            assert got.is_exact() and got == closed, (k, l)
 
 
 def test_negative_cutoff_is_a_contract_violation():
@@ -392,10 +473,26 @@ def test_negative_cutoff_is_a_contract_violation():
 
 
 def test_degree_zero_must_be_one(monkeypatch):
+    import rankfilt.cartan as cartan_mod
+
+    # the Koszul fallback
+    monkeypatch.setattr(KoszulComplex, "_minimal_generators", lambda self: None)
     monkeypatch.setattr(KoszulComplex, "cohomology_dims", lambda self, cutoff: [2] * (cutoff + 1))
     for text in ["U(3)/(1,2)xU(1)", "U(4)/S2wr(1)xU(2)"]:
         memo.clear()
         with pytest.raises(InvariantViolation):
+            cartan_cohomology(parse_descriptor(text), 6)
+    monkeypatch.undo()
+
+    # the complete-intersection route, with every weight of the average doubled
+    cycle_index = cartan_mod.generator_cycle_index
+    monkeypatch.setattr(
+        cartan_mod, "generator_cycle_index",
+        lambda d: {part: 2 * w for part, w in cycle_index(d).items()},
+    )
+    for text in ["U(3)/(1,2)xU(1)", "U(4)/S2wr(1)xU(2)"]:
+        memo.clear()
+        with pytest.raises(InvariantViolation, match="b_0 = 2"):
             cartan_cohomology(parse_descriptor(text), 6)
     memo.clear()
 

@@ -338,3 +338,67 @@ def test_molien_duality_violation_exit_code(capsys, monkeypatch):
     assert code == 6 and out == ""
     assert "invariant violation" in err and "U(3)/(1)x(2)" in err
     cartan.memo.clear()
+
+
+@pytest.mark.parametrize(
+    "descriptor, fake, message",
+    [
+        ("U(3)/(1)x(2)", {0: 2, 2: 1, 4: 2}, "b_0 = 2"),
+        ("U(3)/(1)x(2)", {0: 1, 2: -1, 4: 1}, "negative Betti number"),
+        ("U(3)/S3wr(1)", {0: 1, 8: 1}, "above the dimension 6"),
+        ("U(3)/(1)x(2)", {0: 1, 1: 1, 2: 2, 4: 1}, "Poincare duality"),
+        ("U(3)/(1)x(2)", {0: 1, 2: 2, 4: 1}, "Euler characteristic 4, not 3"),
+        ("U(3)/S3wr(1)", {0: 1, 2: 1}, "Euler characteristic 2, not 1"),
+    ],
+    ids=["b0", "negative", "above-dimension", "duality", "euler", "euler-finite-part"],
+)
+def test_each_invariant_exits_6(capsys, monkeypatch, descriptor, fake, message):
+    from rankfilt import cartan
+    from rankfilt.poly import Poly
+
+    cartan.memo.clear()
+    monkeypatch.setattr(cartan, "molien_poincare", lambda d: Poly(fake))
+    code, out, err = run(capsys, "poincare", descriptor)
+    assert code == 6 and out == ""
+    assert len(err.splitlines()) == 1 and message in err and descriptor in err
+    cartan.memo.clear()
+
+
+def test_witness_disagreement_exit_code(capsys, monkeypatch):
+    from rankfilt import cartan
+    from rankfilt.poly import Poly
+
+    cartan.memo.clear()
+    # passes every invariant of U(3)/(1,2)xU(1) (dimension 7, Euler characteristic 0)
+    fake = Poly({0: 1, 1: 1, 6: 1, 7: 1})
+    monkeypatch.setattr(cartan.KoszulComplex, "complete_intersection", lambda self: fake)
+    code, out, err = run(capsys, "poincare", "U(3)/(1,2)xU(1)")
+    assert code == 3 and out == ""
+    assert "mismatch" in err and "koszul: 1 + t^2" in err
+    assert "complete intersection: 1 + t + t^6 + t^7" in err
+    cartan.memo.clear()
+
+
+def test_config_that_is_not_an_object_is_ignored(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("5")
+    code, out, err = run(capsys, "--config", str(cfg), "summands", "2", "1", "1")
+    assert code == 0 and out == run(capsys, "summands", "2", "1", "1")[1]
+    assert "warning: ignoring config" in err and "Traceback" not in err
+
+
+def test_unknown_config_key_is_named(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mmax": 99, "basis_budget": 500000}))
+    code, out, err = run(capsys, "--config", str(cfg), "cube", "3")
+    assert code == 0 and out == run(capsys, "cube", "3")[1]
+    assert len(err.splitlines()) == 1 and "mmax" in err and "basis_budget" not in err
+
+
+def test_report_json_states_the_first_stage_cutoff(capsys):
+    code, out, _ = run(capsys, "report", "8", "3", "--json")
+    assert code == 0 and json.loads(out)["first_stage_cutoff"] is None
+    code, out, _ = run(capsys, "report", "4", "2", "--json", "--cutoff", "6")
+    assert code == 0 and json.loads(out)["first_stage_cutoff"] == 6
+    code, out, _ = run(capsys, "report", "1", "2", "--json")
+    assert code == 0 and json.loads(out)["first_stage_cutoff"] is None
