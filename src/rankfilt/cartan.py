@@ -62,11 +62,13 @@ part must vanish above n - sum_{i not minimal} (2i - 1), which is the top
 degree of R/I.
 
 Every complete-intersection answer is checked against the Koszul ranks in
-the degrees through min(``WITNESS_DEGREES``, n, cutoff), a witness that
-shares only the Chern images with the closed form; a disagreement raises
+the degrees through min(``WITNESS_DEGREES``, n), a witness that shares
+only the Chern images with the closed form; a disagreement raises
 :class:`EngineMismatch`.  When I is not a complete intersection the
-Koszul ranks are the answer: every degree through the cutoff is ranked
-and the result keeps that truncation.
+Koszul ranks are the answer: every degree through n is ranked, and since
+the cohomology vanishes above n that answer is exact too.  So every
+answer is exact; it is computed once per descriptor, and a cutoff only
+truncates it.
 
 Everything else is graded and computed degree by degree on explicit
 monomial bases with exact sparse elimination; there is no floating point
@@ -96,7 +98,6 @@ from .orbitspace import (
 )
 from .poly import Poly, prod
 
-DEFAULT_CUTOFF_CAP = 24
 DEFAULT_BASIS_BUDGET = 500_000
 WITNESS_DEGREES = 8
 
@@ -448,50 +449,42 @@ class KoszulComplex:
 def cartan_cohomology(descriptor, cutoff=None, basis_budget=DEFAULT_BASIS_BUDGET):
     """Poincare polynomial of U(k)/H from the Cartan model.
 
-    Exact (``truncation=None``) on the complete-intersection route, which
-    is memoized once per descriptor and truncated to an explicit ``cutoff``.
-    On the Koszul fallback every degree through ``cutoff`` (default
-    :func:`default_cutoff`) is ranked and the result keeps that truncation.
+    Exact (``truncation=None``), computed once per descriptor and memoized;
+    an explicit ``cutoff`` truncates the stored answer.
     """
     if cutoff is not None and cutoff < 0:
         raise ContractViolation("the cutoff must be >= 0, got %d" % cutoff)
     d = descriptor.canonicalize()
-    got = memo.get(("cartan", d.canonical_string()))
-    if got is None:
-        through = default_cutoff(d) if cutoff is None else cutoff
-        got = memo.get_or_compute(
-            ("cartan", d.canonical_string(), through),
-            lambda: _cartan(d, through, basis_budget),
-        )
-    return got if cutoff is None or not got.is_exact() else got.truncate(cutoff)
+    got = memo.get_or_compute(("cartan", d), lambda: _cartan(d, basis_budget))
+    return got if cutoff is None else got.truncate(cutoff)
 
 
-def _cartan(d, cutoff, basis_budget):
+def _cartan(d, basis_budget):
     """One complex: the complete-intersection route with its Koszul witness
-    through min(WITNESS_DEGREES, dimension, cutoff), or the Koszul ranks
-    through ``cutoff``."""
+    through min(WITNESS_DEGREES, dimension), or the Koszul ranks through the
+    dimension, above which the cohomology vanishes."""
     kc = KoszulComplex(d, basis_budget=basis_budget)
+    n = real_dimension(d)
     exact = kc.complete_intersection()
     if exact is None:
-        return check_invariants(d, Poly(dict(enumerate(kc.cohomology_dims(cutoff))), cutoff))
+        return check_invariants(d, Poly(dict(enumerate(kc.cohomology_dims(n)))))
     check_invariants(d, exact)
-    through = min(WITNESS_DEGREES, real_dimension(d), cutoff)
+    through = min(WITNESS_DEGREES, n)
     witness = Poly(dict(enumerate(kc.cohomology_dims(through))), through)
     if not exact.agrees(witness):
         raise EngineMismatch(d, ("koszul", witness), ("complete intersection", exact))
-    return memo.get_or_compute(("cartan", d.canonical_string()), lambda: exact)
+    return exact
 
 
 def check_invariants(d, p):
     """Return ``p`` after the cheap checks every answer for U(k)/H must pass.
 
-    Always: b_0 = 1, no negative coefficient, nothing above the real
-    dimension n.  On an exact answer also: with connected isotropy U(k)/H
-    is a closed orientable manifold, so the top degree is n and ``p`` is
-    palindromic; and the Euler characteristic p(-1) is
-    k! / (prod a_b! * c! * |G|) when rank H_0 = k, else 0.  The isotropy is
-    connected when no top-level unit is a ``Wreath``: canonical units are
-    flattened, so a ``Bunch`` and any deeper wreath sit inside one.
+    b_0 = 1, no negative coefficient, nothing above the real dimension n;
+    with connected isotropy U(k)/H is a closed orientable manifold, so the
+    top degree is n and ``p`` is palindromic; and the Euler characteristic
+    p(-1) is k! / (prod a_b! * c! * |G|) when rank H_0 = k, else 0.  The
+    isotropy is connected when no top-level unit is a ``Wreath``: canonical
+    units are flattened, so a ``Bunch`` and any deeper wreath sit inside one.
     """
     n = real_dimension(d)
 
@@ -504,8 +497,6 @@ def check_invariants(d, p):
         fail("a negative Betti number")
     if p.degree() > n:
         fail("cohomology above the dimension %d" % n)
-    if not p.is_exact():
-        return p
     if not any(isinstance(u, Wreath) for u in d.units) and (
         p.degree() != n or not p.is_palindromic()
     ):
@@ -521,32 +512,26 @@ def check_invariants(d, p):
     return p
 
 
-def default_cutoff(descriptor):
-    """Cutoff of a Koszul fallback called without one: twice the real
-    dimension, capped.  Past the dimension the cohomology is zero, so the
-    factor two is pure safety margin; complete intersections are exact and
-    never use it."""
-    return min(max(2 * real_dimension(descriptor), 0), DEFAULT_CUTOFF_CAP)
-
-
 def poincare(descriptor, cutoff=None, engine="auto", basis_budget=DEFAULT_BASIS_BUDGET):
     """Poincare polynomial dispatcher.
 
     Torus-commensurable descriptors go to the Molien engine and come back
-    exact; everything else goes to :func:`cartan_cohomology`, exact on the
-    complete-intersection route and truncated at ``cutoff`` (default
-    :func:`default_cutoff`) on the Koszul fallback.  In ``auto`` mode with
-    an explicit cutoff both engines run when both apply and must agree;
-    disagreement raises :class:`EngineMismatch` rather than picking a side.
-    Each new Molien answer then meets :func:`check_invariants`.
+    exact whatever the cutoff; everything else goes to
+    :func:`cartan_cohomology`, exact without a cutoff and truncated at an
+    explicit one.  In ``auto`` mode with an explicit cutoff both engines run
+    when both apply and must agree in every degree; disagreement raises
+    :class:`EngineMismatch` rather than picking a side.  Each new Molien
+    answer then meets :func:`check_invariants`.
     """
     if engine not in ("molien", "cartan", "auto"):
         raise ValueError("unknown engine %r" % (engine,))
+    if cutoff is not None and cutoff < 0:
+        raise ContractViolation("the cutoff must be >= 0, got %d" % cutoff)
     d = descriptor.canonicalize()
     if engine == "molien" or (engine == "auto" and d.is_torus_commensurable()):
         compare = engine == "auto" and cutoff is not None
-        q = cartan_cohomology(d, cutoff, basis_budget) if compare else None
-        p = memo.get_or_compute(("molien", d.canonical_string()), lambda: _molien_checked(d, q))
+        q = cartan_cohomology(d, basis_budget=basis_budget) if compare else None
+        p = memo.get_or_compute(("molien", d), lambda: _molien_checked(d, q))
         _cross_check(d, p, q)
         return p
     return cartan_cohomology(d, cutoff, basis_budget)

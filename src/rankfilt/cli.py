@@ -13,10 +13,9 @@ Exit codes, so CI can tell math findings from plumbing failures:
         b_0 = 1, the dimension bound, Poincare duality or the Euler
         characteristic (a math bug signal)
 
-Without a cutoff (``--cutoff`` or the config's ``default_cutoff``) a
-Cartan answer is exact when the Chern images cut out a complete
-intersection, and otherwise truncated at a per-descriptor default; a
-cutoff always truncates.  ``poincare --json`` states the truncation as
+Without a cutoff (``--cutoff`` or the config's ``default_cutoff``) every
+answer is exact.  A cutoff truncates a Cartan answer; a Molien answer is
+exact whatever the cutoff.  ``poincare --json`` states the truncation as
 ``cutoff`` and ``report --json`` as ``first_stage_cutoff``, null when the
 answer is exact.
 
@@ -50,10 +49,10 @@ EXIT_VERIFICATION = 4
 EXIT_RESOURCE = 5
 EXIT_INVARIANT = 6
 
-ENGINE_VERSION = "rankfilt-0.2.0"
+ENGINE_VERSION = "rankfilt-0.3.0"
 
 CONFIG_DEFAULTS = {
-    "default_cutoff": None,  # None: per-descriptor default inside the engine
+    "default_cutoff": None,  # None: exact answers
     "basis_budget": cartan.DEFAULT_BASIS_BUDGET,
     "m_max": spectra.DEFAULT_M_MAX,
     "k_cap": spectra.DEFAULT_K_CAP,

@@ -103,7 +103,7 @@ def pi0_check(k, l):
     """
     if vanishing_check(k, l):
         return 0
-    p = cartan.poincare(first_stage_descriptor(k, l), cutoff=0 if l > 1 else None)
+    p = cartan.poincare(first_stage_descriptor(k, l))
     if p[0] != 1:
         raise AssertionError("first stage of (%d, %d) is not connected" % (k, l))
     for m in range(2, k // l + 1):
@@ -175,7 +175,7 @@ def stabilization_check(l, ms, cutoff, ks):
     for k in ks:
         d = summand_limit_descriptor(ms, l, k)
         stable_through = min(cutoff, 2 * (k - l * r))
-        p = cartan.poincare(d, cutoff=None if l == 1 else stable_through)
+        p = cartan.poincare(d)
         if not p.agrees(target, through=stable_through):
             raise AssertionError(
                 "no stabilization for tuple %s at k=%d: %s vs %s"

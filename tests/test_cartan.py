@@ -12,7 +12,6 @@ from rankfilt.cartan import (
     KoszulComplex,
     ResourceLimit,
     cartan_cohomology,
-    default_cutoff,
     poincare,
 )
 from rankfilt.combinat import ContractViolation
@@ -392,7 +391,7 @@ def _with_finite_part():
     ]]
     for subset in [(), (2,), (3,), (2, 3)]:
         found += [stabilizer(chain, 2, 8) for chain in enumerate_chain_types(3, subset)]
-    # keyed by descriptor: beside a fixed part the string drops U(0) and parses differently
+    # descriptor -> its string, for messages
     return {d: d.canonical_string() for d in map(OrbitDescriptor.canonicalize, found)
             if "wr" in d.canonical_string()}
 
@@ -414,12 +413,50 @@ def test_forced_fallback_gives_the_koszul_ranks(monkeypatch):
     memo.clear()
     for text in ["U(4)/(1,2)xU(2)", "U(4)/S2wr(1)xU(2)", "U(3)/(1)x(2)"]:
         d = parse_descriptor(text)
-        cutoff = default_cutoff(d)
         got = cartan_cohomology(d)
-        assert got.truncation == cutoff, text
-        assert got == Poly(dict(enumerate(KoszulComplex(d).cohomology_dims(cutoff))), cutoff)
+        assert got.is_exact(), text
+        assert got == Poly(dict(enumerate(KoszulComplex(d).cohomology_dims(real_dimension(d)))))
         assert cartan_cohomology(d, 5) == got.truncate(5), text
     memo.clear()
+
+
+def test_one_memo_entry_per_descriptor():
+    # the exact answer is stored once; a cutoff only truncates it
+    memo.clear()
+    d = parse_descriptor("U(4)/(1,2)xU(2)")
+    for cutoff in (5, 0, None):
+        cartan_cohomology(d, cutoff)
+    assert len(memo) == 1
+    memo.clear()
+
+
+def _connected(k_max):
+    """Every connected descriptor with k <= k_max: blocks with tensor
+    multiplicities, a complement and a fixed part, canonical."""
+
+    def blocks(budget, least):
+        yield ()
+        for a in range(1, budget + 1):
+            for l in range(1, budget // a + 1):
+                if (a, l) >= least:
+                    for rest in blocks(budget - a * l, (a, l)):
+                        yield (Block(a, l),) + rest
+
+    return {
+        OrbitDescriptor(k, bs, c).canonicalize()
+        for k in range(1, k_max + 1)
+        for bs in blocks(k, (1, 1))
+        for c in range(k - sum(b.size * b.mult for b in bs) + 1)
+    }
+
+
+def test_small_connected_descriptors_are_complete_intersections():
+    # why the Koszul fallback is unreached in practice; a finite part
+    # leaves the ideal unchanged
+    found = _connected(6)
+    assert len(found) == 294
+    for d in found:
+        assert KoszulComplex(d)._minimal_generators() is not None, d.canonical_string()
 
 
 def test_rank_test_finds_the_minimal_generators():

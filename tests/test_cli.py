@@ -311,7 +311,7 @@ def test_truncated_cache_is_ignored(capsys, tmp_path):
 def test_config_integers_are_validated(capsys, tmp_path, key):
     cfg = tmp_path / "cfg.json"
     bad_values = ["2", True, False, -1, 2.5, [4]]
-    if key != "default_cutoff":  # null there means the per-descriptor default
+    if key != "default_cutoff":  # null there means exact answers
         bad_values.append(None)
     for bad in bad_values:
         cfg.write_text(json.dumps({key: bad}))
@@ -362,6 +362,60 @@ def test_each_invariant_exits_6(capsys, monkeypatch, descriptor, fake, message):
     assert code == 6 and out == ""
     assert len(err.splitlines()) == 1 and message in err and descriptor in err
     cartan.memo.clear()
+
+
+def test_cutoff_compares_molien_with_every_cartan_degree(capsys, monkeypatch):
+    from rankfilt import cartan
+    from rankfilt.poly import Poly
+
+    cartan.memo.clear()
+    # passes every invariant of U(3)/(1)x(2) and agrees with Cartan in degree 0
+    fake = Poly({0: 1, 1: 1, 2: 3, 3: 1, 4: 1})
+    monkeypatch.setattr(cartan, "molien_poincare", lambda d: fake)
+    code, out, err = run(capsys, "poincare", "U(3)/(1)x(2)", "--cutoff", "0")
+    assert code == 3 and out == ""
+    assert "mismatch" in err and "molien: 1 + t + 3t^2 + t^3 + t^4" in err
+    cartan.memo.clear()
+
+
+def test_molien_average_meets_the_invariant_checks(capsys, monkeypatch):
+    from rankfilt import cartan, orbitspace
+
+    cartan.memo.clear()
+    index = orbitspace.descriptor_cycle_index
+    monkeypatch.setattr(
+        orbitspace, "descriptor_cycle_index",
+        lambda d: {part: 2 * w for part, w in index(d).items()},
+    )
+    code, out, err = run(capsys, "poincare", "U(3)/(1)x(2)")
+    assert code == 6 and out == ""
+    assert "invariant violation" in err and "b_0 = 2" in err and "Traceback" not in err
+    cartan.memo.clear()
+
+
+def test_a_cutoff_truncates_only_a_cartan_answer(capsys):
+    # Molien: exact whatever the cutoff
+    code, out, _ = run(capsys, "poincare", "U(2)/(1)x(1)", "--cutoff", "0")
+    assert code == 0 and out.strip() == "1 + t^2"
+    code, out, _ = run(capsys, "poincare", "U(2)/(1)x(1)", "--cutoff", "0", "--json")
+    assert code == 0 and json.loads(out)["cutoff"] is None
+    # Cartan: exact without a cutoff, truncated with one
+    code, out, _ = run(capsys, "poincare", "U(3)/(1,2)xU(1)", "--json")
+    exact = json.loads(out)
+    assert code == 0 and exact["cutoff"] is None and exact["poincare"]["7"] == 1
+    code, out, _ = run(capsys, "poincare", "U(3)/(1,2)xU(1)", "--cutoff", "3", "--json")
+    doc = json.loads(out)
+    assert code == 0 and doc["cutoff"] == 3
+    assert doc["poincare"] == {d: c for d, c in exact["poincare"].items() if int(d) <= 3}
+
+
+def test_fixed_part_without_complement_passes_the_cache_audit(capsys, tmp_path):
+    args = ("poincare", "U(3)/(1)xU(0)", "--cache", str(tmp_path / "cache.json"))
+    code, out, _ = run(capsys, *args, "--json")
+    assert code == 0 and json.loads(out)["descriptor"] == "U(3)/(1)xU(0)"
+    code, out, err = run(capsys, *args, "--verify-cache")
+    assert code == 0 and not err
+    assert "cache audit passed: 1 entries" in out
 
 
 def test_witness_disagreement_exit_code(capsys, monkeypatch):

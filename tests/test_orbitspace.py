@@ -241,6 +241,23 @@ def test_grammar_round_trip_spec_literals():
         assert parse_descriptor(got.canonical_string()) == got
 
 
+def test_canonical_string_round_trips_beside_a_fixed_part():
+    unit_lists = [(), (Block(1),), (Block(2), Block(1)), (Block(1, 2),), (Wreath(Block(1), 2),)]
+    fixed = {True: 0, False: 0}  # descriptors with a fixed part, by c > 0
+    for k in range(1, 7):
+        for units in unit_lists:
+            for c in range(k + 1):
+                try:
+                    d = OrbitDescriptor(k, units, c).canonicalize()
+                except DescriptorError:
+                    continue
+                assert parse_descriptor(d.canonical_string()) == d, d.canonical_string()
+                if d.fixed:
+                    fixed[c > 0] += 1
+    assert min(fixed.values()) > 10
+    assert OrbitDescriptor(3, (Block(1),), 0).canonical_string() == "U(3)/(1)xU(0)"
+
+
 def test_grammar_cli_values():
     assert molien_poincare(parse_descriptor("U(3)/[S2wr(1)|x(1)]")) == Poly({0: 1, 2: 1, 4: 1})
     assert molien_poincare(parse_descriptor("U(2)/[S2wr(1)]")) == Poly({0: 1})
