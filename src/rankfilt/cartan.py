@@ -540,8 +540,13 @@ def poincare(descriptor, cutoff=None, engine="auto", basis_budget=DEFAULT_BASIS_
 def _molien_checked(d, cartan):
     """Molien polynomial of ``d``, compared with the Cartan answer (when
     there is one) before :func:`check_invariants`: a disagreement between
-    the engines is the finding to report."""
-    p = molien_poincare(d)
+    the engines is the finding to report.  An average that is not integral
+    is an invariant violation, like a remainder on the complete-intersection
+    route."""
+    try:
+        p = molien_poincare(d)
+    except ArithmeticError as exc:
+        raise InvariantViolation("%s for %s" % (exc, d.canonical_string())) from None
     _cross_check(d, p, cartan)
     return check_invariants(d, p)
 

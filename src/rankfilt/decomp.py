@@ -150,30 +150,22 @@ class ChainType:
         *_, finest = _levels(self.root)
         return [dim for dim, _ in finest]
 
-    def append_lines(self):
-        """Refine the finest level by the full line decomposition."""
 
-        def rec(node):
-            dim, children = node
-            if not children:
-                return (dim, tuple([(1, ())] * dim))
-            return _canonical_node(dim, tuple(rec(c) for c in children))
+def _append_lines(node):
+    """Refine the finest level of a chain tree by the full line decomposition."""
+    dim, children = node
+    if not children:
+        return (dim, tuple([(1, ())] * dim))
+    return _canonical_node(dim, tuple(_append_lines(c) for c in children))
 
-        return ChainType(self.m, rec(self.root))
 
-    def strip_finest(self):
-        """Remove the finest level; inverse to append_lines when that level is lines."""
-        depth = len(self.level_counts())
-        if depth == 0:
-            raise ContractViolation("empty chain has no finest level")
-
-        def rec(node, d):
-            dim, children = node
-            if d == 1:
-                return (dim, ())
-            return _canonical_node(dim, tuple(rec(c, d - 1) for c in children))
-
-        return ChainType(self.m, rec(self.root, depth))
+def _strip_finest(node, depth):
+    """Remove the finest level of a tree with ``depth`` levels below the root;
+    inverse to ``_append_lines`` when that level is lines."""
+    dim, children = node
+    if depth == 1:
+        return (dim, ())
+    return _canonical_node(dim, tuple(_strip_finest(c, depth - 1) for c in children))
 
 
 def _canon_tree(node):
@@ -229,24 +221,36 @@ def _node_unit(node, l):
     return Bunch(tuple(classes))
 
 
-def enumerate_chain_types(m, subset):
+def enumerate_chain_types(m, subset, forests=None):
     """All chain types over C^m with level component counts ``subset``.
 
     ``subset`` is any subset of {2, ..., m}; its elements, in increasing
     order, are the part counts from the coarsest level down.  The empty
     subset yields the single empty chain.  The types come as a tuple sorted
     by tree; every tree ``_forests`` builds is already canonical.
+    ``forests`` is a dict of sub-forests to share between calls over the
+    same C^m (one cube); a fresh one is used when none is passed.
     """
     subset = sorted(set(subset))
     if any(not 2 <= u <= m for u in subset):
         raise ContractViolation("subset must lie in {2, ..., %d}" % m)
-    return tuple(ChainType(m, forest[0]) for forest in _forests((m,), tuple(subset)))
+    if forests is None:
+        forests = {}
+    return tuple(ChainType(m, forest[0]) for forest in _forests((m,), tuple(subset), forests))
 
 
-def _forests(dims, counts):
-    """Forests with root dims ``dims`` and global level counts ``counts``."""
+def _forests(dims, counts, memo):
+    """Forests with root dims ``dims`` and global level counts ``counts``.
+
+    The sorted list is stored in ``memo`` under ``(dims, counts)`` and
+    shared by every later caller, which only iterates it.
+    """
+    key = (dims, counts)
+    if key in memo:
+        return memo[key]
     if not counts:
-        return [tuple((d, ()) for d in dims)]
+        memo[key] = [tuple((d, ()) for d in dims)]
+        return memo[key]
     target, rest = counts[0], counts[1:]
     results = set()
 
@@ -255,7 +259,7 @@ def _forests(dims, counts):
             if budget:
                 return
             child_dims = tuple(d for part in chosen for d in part)
-            for sub in _forests(child_dims, rest):
+            for sub in _forests(child_dims, rest, memo):
                 forest = []
                 pos = 0
                 for root_dim, part in zip(dims, chosen):
@@ -273,7 +277,8 @@ def _forests(dims, counts):
                 chosen.pop()
 
     assign(0, target, [])
-    return sorted(results)
+    memo[key] = sorted(results)
+    return memo[key]
 
 
 def stabilizer(chain, l=1, k=None):
@@ -299,13 +304,7 @@ def stabilizer(chain, l=1, k=None):
 class CubeVertex:
     subset: tuple
     chains: tuple  # of (ChainType, OrbitDescriptor, Poly)
-
-    @property
-    def poincare(self):
-        acc = Poly.zero()
-        for _, _, p in self.chains:
-            acc = acc + p
-        return acc
+    poincare: Poly  # the sum of the chain polynomials
 
 
 @dataclass(frozen=True)
@@ -416,40 +415,48 @@ def cube_report(m, l=1, k=None, cutoff=None, basis_budget=cartan.DEFAULT_BASIS_B
         return cartan.poincare(desc, cutoff=cutoff, basis_budget=basis_budget)
 
     vertices = {}
+    forests = {}
     for subset in _subsets(range(2, m + 1)):
         chains = []
-        for c in enumerate_chain_types(m, subset):
+        total = Poly.zero()
+        for c in enumerate_chain_types(m, subset, forests):
             desc = stabilizer(c, l, k)
-            chains.append((c, desc, vertex_poly(desc)))
-        vertices[subset] = CubeVertex(subset, tuple(chains))
+            p = vertex_poly(desc)
+            chains.append((c, desc, p))
+            total = total + p
+        vertices[subset] = CubeVertex(subset, tuple(chains), total)
 
     edges = []
     for subset in _subsets(range(2, m)) if m > 1 else []:
         base = vertices[subset]
         extended = vertices[tuple(sorted(subset + (m,)))]
-        by_type = {c.root: p for c, _, p in extended.chains}
+        # pairing on raw roots: a root found here equals an enumerated tree,
+        # which its ChainType has already validated
+        by_type = {c.root: (c, p) for c, _, p in extended.chains}
+        depth = len(subset) + 1
         matched = True
         equal = True
         mismatches = []
         appended = set()
         for c, _, p in base.chains:
-            ext = c.append_lines()
-            if any(d != 1 for d in ext.leaves()):
-                raise AssertionError("extended chain is not a torus extension")
-            appended.add(ext.root)
-            q = by_type.get(ext.root)
-            if q is None:
+            ext = _append_lines(c.root)
+            appended.add(ext)
+            found = by_type.get(ext)
+            if found is None:
                 matched = False
-                mismatches.append("no partner for %s" % _tree_string(ext.root))
+                mismatches.append("no partner for %s" % _tree_string(ext))
                 continue
-            if ext.strip_finest() != c:
+            partner, q = found
+            if any(d != 1 for d in partner.leaves()):
+                raise AssertionError("extended chain is not a torus extension")
+            if _strip_finest(ext, depth) != c.root:
                 matched = False
                 mismatches.append("strip/append mismatch at %s" % _tree_string(c.root))
             if not p.agrees(q):
                 equal = False
                 mismatches.append(
                     "P(%s) = %s but P(%s) = %s"
-                    % (_tree_string(c.root), p.pretty(), _tree_string(ext.root), q.pretty())
+                    % (_tree_string(c.root), p.pretty(), _tree_string(ext), q.pretty())
                 )
         if appended != set(by_type):
             matched = False

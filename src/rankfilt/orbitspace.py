@@ -126,6 +126,8 @@ def _canonical_unit(u):
             return inner
         return Wreath(inner, u.copies)
     if isinstance(u, Bunch):
+        if len(u.units) == 1:
+            return _canonical_unit(u.units[0])
         flat = []
         for v in u.units:
             cv = _canonical_unit(v)
@@ -494,19 +496,20 @@ def finite_part_order(d):
 # coinvariant characters and the Molien average
 
 
-def graded_char_coinv(cycle_type, k):
+def graded_char_coinv(cycle_type, k, numerator):
     """Graded character of the S_k coinvariant algebra at a given cycle type.
 
-    Returns the polynomial prod_{i=1..k} (1 - q^i) / prod_{c in type} (1 - q^c)
-    in the variable q; division is exact by construction and any remainder is
-    an error.  The identity type yields the q-factorial [k]_q!.
+    Returns the polynomial ``numerator`` / prod_{c in type} (1 - q^c) in the
+    variable q, where ``numerator`` is prod_{i=1..k} (1 - q^i), built once
+    per Molien average by the caller; division is exact by construction and
+    any remainder is an error.  The identity type yields the q-factorial
+    [k]_q!.
     """
     cycle_type = tuple(sorted(cycle_type, reverse=True))
     if sum(cycle_type) != k or any(c < 1 for c in cycle_type):
         raise DescriptorError("%r is not a partition of %d" % (cycle_type, k))
-    num = prod(Poly.one_minus(i) for i in range(1, k + 1))
     den = prod(Poly.one_minus(c) for c in cycle_type)
-    return num.divide_exact(den).as_integer()
+    return numerator.divide_exact(den).as_integer()
 
 
 def molien_poincare(d):
@@ -518,7 +521,8 @@ def molien_poincare(d):
     """
     d = d.canonicalize()
     z = descriptor_cycle_index(d)
+    num = prod(Poly.one_minus(i) for i in range(1, d.k + 1))
     acc = Poly.zero()
     for part, w in z.items():
-        acc = acc + graded_char_coinv(part, d.k) * w
+        acc = acc + graded_char_coinv(part, d.k, num) * w
     return acc.as_integer().substitute_power(2)

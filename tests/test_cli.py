@@ -456,3 +456,19 @@ def test_report_json_states_the_first_stage_cutoff(capsys):
     assert code == 0 and json.loads(out)["first_stage_cutoff"] == 6
     code, out, _ = run(capsys, "report", "1", "2", "--json")
     assert code == 0 and json.loads(out)["first_stage_cutoff"] is None
+
+
+def test_non_integral_molien_average_exits_6(capsys, monkeypatch):
+    from rankfilt import cartan, orbitspace
+
+    cartan.memo.clear()
+    index = orbitspace.descriptor_cycle_index
+    monkeypatch.setattr(
+        orbitspace, "descriptor_cycle_index",
+        lambda d: {part: w / 2 for part, w in index(d).items()},
+    )
+    code, out, err = run(capsys, "poincare", "U(3)/(1)x(2)")
+    assert code == 6 and out == ""
+    assert "invariant violation" in err and "non-integral coefficient 1/2" in err
+    assert "U(3)/(1)x(2)" in err and "Traceback" not in err
+    cartan.memo.clear()

@@ -1,10 +1,13 @@
 """Decomposition types, chain trees, stabilizers, and cube verification."""
 
+import hashlib
 import json
 from itertools import combinations
 
 import pytest
 
+from rankfilt import decomp
+from rankfilt.cache import memo
 from rankfilt.combinat import ContractViolation
 from rankfilt.decomp import (
     ChainType,
@@ -13,6 +16,9 @@ from rankfilt.decomp import (
     cube_report,
     enumerate_chain_types,
     enumerate_decomposition_types,
+    _append_lines,
+    _strip_finest,
+    _tree_string,
     stabilizer,
 )
 from rankfilt.poly import Poly
@@ -148,6 +154,16 @@ def test_chain_level_counts_and_leaves():
                     assert c.leaves() == leaves
 
 
+def test_shared_sub_forests_match_fresh_enumeration():
+    # one dict shared by every subset of a cube, as cube_report passes it
+    for m in range(1, 8):
+        forests = {}
+        for size in range(m):
+            for subset in combinations(range(2, m + 1), size):
+                shared = enumerate_chain_types(m, subset, forests)
+                assert shared == enumerate_chain_types(m, subset), (m, subset)
+
+
 def test_append_and_strip_are_inverse():
     # appending applies to chains whose finest level is coarser than lines,
     # i.e. to vertices whose subset does not contain m
@@ -155,10 +171,10 @@ def test_append_and_strip_are_inverse():
         for u in [(), (2,), (3,)]:
             subset = {x for x in u if 2 <= x < m}
             for c in enumerate_chain_types(m, subset):
-                ext = c.append_lines()
+                ext = ChainType(m, _append_lines(c.root))
                 assert ext.level_counts() == c.level_counts() + [m]
                 assert all(d == 1 for d in ext.leaves())
-                assert ext.strip_finest() == c
+                assert _strip_finest(ext.root, len(ext.level_counts())) == c.root
 
 
 def test_chain_type_validation():
@@ -190,11 +206,26 @@ def test_stabilizer_examples():
     assert stabilizer(refined, l=2, k=8).canonical_string() == "U(8)/(1,2)xS2wr(1,2)xU(2)"
 
 
+def test_stabilizer_is_unchanged_on_every_chain_type_up_to_m7():
+    # sha1 of "<tree> <repr(descriptor)>" lines over all 1 175 chain types
+    # with m <= 7, recorded before the lone-unit shortcut in _canonical_unit
+    h = hashlib.sha1()
+    n = 0
+    for m in range(1, 8):
+        for size in range(m):
+            for subset in combinations(range(2, m + 1), size):
+                for c in enumerate_chain_types(m, subset):
+                    h.update(("%s %r\n" % (_tree_string(c.root), stabilizer(c))).encode())
+                    n += 1
+    assert n == 1175
+    assert h.hexdigest() == "ddaca4cf9a931c2d73ff15fdd9f0b3758808f086"
+
+
 def test_stabilizer_connected_part_of_extended_chain_is_torus():
     for m in (2, 3, 4):
         for subset in [(), (2,)]:
             for c in enumerate_chain_types(m, set(s for s in subset if 2 <= s < m)):
-                ext = c.append_lines()
+                ext = ChainType(m, _append_lines(c.root))
                 d = stabilizer(ext)
                 assert all(b.size == 1 and b.mult == 1 for b in d.blocks())
                 assert len(d.blocks()) == m
@@ -259,6 +290,45 @@ def test_cube_json_roundtrip_and_determinism():
     assert [v["subset"] for v in doc["vertices"]] == [[], [2], [3], [2, 3]]
     assert doc["vertices"][1]["poincare"] == {"0": 1, "2": 1, "4": 1}
     assert doc["prime_power"] is True
+
+
+def _module_state():
+    """Sizes of the containers and function caches ``decomp`` binds."""
+    sizes = {}
+    for name, value in vars(decomp).items():
+        if isinstance(value, (dict, list, set)):
+            sizes[name] = len(value)
+        elif hasattr(value, "cache_info"):
+            sizes[name] = value.cache_info().currsize
+    return sizes
+
+
+def test_cube_report_keeps_no_state_between_runs():
+    memo.clear()
+    first = cube_report(6)
+    state = _module_state()
+    memo.clear()
+    second = cube_report(6)
+    assert second.to_json() == first.to_json()
+    assert _module_state() == state
+    # the sub-forests are rebuilt, not kept from the first run
+    roots = {id(c.root) for v in first.vertices for c, _, _ in v.chains}
+    assert not any(id(c.root) in roots for v in second.vertices for c, _, _ in v.chains)
+
+
+def test_missing_extended_chain_is_reported_not_raised(monkeypatch):
+    enumerate_all = decomp.enumerate_chain_types
+
+    def drop_one(m, subset, *args):
+        chains = enumerate_all(m, subset, *args)
+        return chains[1:] if m in subset else chains
+
+    monkeypatch.setattr(decomp, "enumerate_chain_types", drop_one)
+    r = cube_report(3)
+    assert not r.verified
+    base = r.edges[0]
+    assert base.subset == () and not base.matched
+    assert base.mismatches == ("no partner for 3[1,1,1]",)
 
 
 def test_cube_report_flags_bad_input():

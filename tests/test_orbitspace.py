@@ -48,15 +48,23 @@ def test_real_dimension_examples():
 # -- coinvariant characters ---------------------------------------------------
 
 
+def numerator(k):
+    """prod_{i=1..k} (1 - q^i), built fresh."""
+    out = Poly.one()
+    for i in range(1, k + 1):
+        out = out * Poly.one_minus(i)
+    return out
+
+
 def test_graded_char_examples():
-    assert graded_char_coinv((1, 1), 2) == Poly({0: 1, 1: 1})
-    assert graded_char_coinv((2,), 2) == Poly({0: 1, 1: -1})
-    assert graded_char_coinv((3,), 3) == Poly({0: 1, 1: -1, 2: -1, 3: 1})
+    assert graded_char_coinv((1, 1), 2, numerator(2)) == Poly({0: 1, 1: 1})
+    assert graded_char_coinv((2,), 2, numerator(2)) == Poly({0: 1, 1: -1})
+    assert graded_char_coinv((3,), 3, numerator(3)) == Poly({0: 1, 1: -1, 2: -1, 3: 1})
 
 
 def test_graded_char_identity_is_q_factorial():
     for k in range(1, 7):
-        char = graded_char_coinv((1,) * k, k)
+        char = graded_char_coinv((1,) * k, k, numerator(k))
         qfact = Poly.one()
         for i in range(1, k + 1):
             qfact = qfact * Poly({d: 1 for d in range(i)})
@@ -66,7 +74,29 @@ def test_graded_char_identity_is_q_factorial():
 
 def test_graded_char_bad_partition():
     with pytest.raises(DescriptorError):
-        graded_char_coinv((2, 2), 3)
+        graded_char_coinv((2, 2), 3, numerator(3))
+
+
+def test_graded_char_with_a_shared_numerator():
+    # one numerator serves every cycle type of S_k, as in a Molien average,
+    # and each character is the quotient built from scratch
+    for k in range(1, 9):
+        shared = numerator(k)
+        for r in range(1, k + 1):
+            for part in partitions_into(k, r):
+                den = Poly.one()
+                for c in part:
+                    den = den * Poly.one_minus(c)
+                char = graded_char_coinv(part, k, shared)
+                assert char == numerator(k).divide_exact(den)
+                assert char * den == numerator(k)
+        assert shared == numerator(k)
+
+
+def test_graded_char_non_exact_division_raises():
+    # (1 - q)(1 - q^2) is not divisible by 1 - q^3
+    with pytest.raises(ArithmeticError, match="non-exact"):
+        graded_char_coinv((3,), 3, numerator(2))
 
 
 # -- cycle indices ------------------------------------------------------------
