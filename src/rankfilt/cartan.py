@@ -42,9 +42,19 @@ sequence, I is a complete intersection, and in every degree
 Felix-Halperin-Thomas, "Rational Homotopy Theory", section 32).  If exactly
 r of the rho_i are nonzero they are all minimal, since fewer than r could
 not cut out a finite-length quotient; no rank is computed then, which
-covers every torus-commensurable descriptor.  Otherwise rho_i is minimal
-when it lies outside the span of the x^alpha rho_j (j < i, rho_j minimal)
-in degree 2i, one ``sparse_rank`` comparison per nonzero rho_i.
+covers every torus-commensurable descriptor.  Otherwise the rank tests
+run over the block variables alone, through the classical presentation of
+H*(Gr) by Segre classes.  With c the complement's size, c(V) the product
+of the blocks' factors (rho at w = 0) and s = c(V)^(-1) through degree 2c
+(s_n = -sum_{t=1..n} c(V)_t s_(n-t)), the map phi: w_j -> s_j sends R
+onto B = Q[block variables] with kernel (rho_1, ..., rho_c).  Each of
+rho_1, ..., rho_c is minimal without a rank: rho_i has the linear term
+w_i, while every element of (rho_j : j < i) in degree 2i lies in m^2.
+For i > c, rho_i is minimal when phi(rho_i) lies outside the span of the
+x^beta phi(rho_j) (c < j < i, rho_j minimal) in degree 2i, x^beta over
+the block variables: one ``sparse_rank`` comparison per nonzero
+phi(rho_i), on far fewer rows than over all of R.  With c = 0, phi is the
+identity.
 
 The finite part G fixes every rho_i and every y_i, so the cohomology of the
 quotient is (R/I)^G (x) Lambda, and since the Koszul resolution of R/I is
@@ -191,6 +201,17 @@ def _finite_part(u):
     return width, canon, swaps
 
 
+def _graded_monomials(weights, degree, cache):
+    """Exponent tuples over ``weights`` of weighted degree ``degree``, in
+    lexicographic order, built once per degree in the dict ``cache``."""
+    got = cache.get(degree)
+    if got is None:
+        got = cache[degree] = []
+        if degree % 2 == 0 and degree >= 0:
+            _fill_monomials(weights, 0, degree, [], got)
+    return got
+
+
 def _fill_monomials(weights, idx, remaining, current, out):
     """Append to ``out``, in lexicographic order, every exponent tuple that
     extends ``current`` over ``weights[idx:]`` to weighted degree ``remaining``.
@@ -283,13 +304,7 @@ class KoszulComplex:
 
     def _monomials(self, degree):
         """Exponent tuples of weighted degree ``degree`` (degree is even)."""
-        got = self._mono_cache.get(degree)
-        if got is None:
-            got = []
-            if degree % 2 == 0 and degree >= 0:
-                _fill_monomials(self.var_degrees, 0, degree, [], got)
-            self._mono_cache[degree] = got
-        return got
+        return _graded_monomials(self.var_degrees, degree, self._mono_cache)
 
     def _exterior(self):
         if self._ext_list is None:
@@ -385,29 +400,66 @@ class KoszulComplex:
 
     # -- the complete-intersection route -------------------------------------
 
+    def _block_images(self):
+        """phi(rho_1), ..., phi(rho_k) over the block variables alone.
+
+        phi substitutes s_j = c(V)^(-1)_j for the complement's w_j, where
+        c(V) is rho at w = 0, so that c(V) phi(c(W)) = 1 through degree 2c
+        and phi(rho_i) = 0 for i <= c.  Every term of rho holds at most one
+        w_j, to the first power.
+        """
+        nb, c = self.complement_var_start, self.descriptor.complement
+        cv = [{m[:nb]: x for m, x in rho.items() if not any(m[nb:])} for rho in self.chern]
+        s = [{(0,) * nb: 1}]
+        for n in range(1, c + 1):
+            acc = {}
+            for t in range(1, n + 1):
+                for m, x in _poly_mul(cv[t - 1], s[n - t], nb).items():
+                    acc[m] = acc.get(m, 0) - x
+            s.append({m: x for m, x in acc.items() if x})
+        images = []
+        for rho in self.chern:
+            out = {}
+            for m, x in rho.items():
+                w = m[nb:]
+                for mu, y in s[w.index(1) + 1 if any(w) else 0].items():
+                    key = tuple(map(add, m[:nb], mu))
+                    out[key] = out.get(key, 0) + x * y
+            images.append({m: x for m, x in out.items() if x})
+        return images
+
     def _minimal_generators(self):
         """The degrees i whose rho_i minimally generate I, when there are
         exactly ``nvars`` of them, so that I is a complete intersection;
         None otherwise.
 
-        rho_i is minimal when it lies outside the span of the multiples
-        x^alpha rho_j (j < i, rho_j minimal) in degree 2i.  When exactly
-        ``nvars`` of the rho_i are nonzero no rank is needed (see the module
-        docstring).
+        When exactly ``nvars`` of the rho_i are nonzero no rank is needed.
+        Otherwise rho_1, ..., rho_c are minimal, and for i > c rho_i is
+        minimal when phi(rho_i) lies outside the span of the multiples
+        x^beta phi(rho_j) (c < j < i, rho_j minimal) in degree 2i, with x^beta
+        over the block variables and phi from :meth:`_block_images` (see the
+        module docstring).
         """
         nonzero = [i for i, rho in enumerate(self.chern, start=1) if rho]
         if len(nonzero) == self.nvars:
             return nonzero
-        minimal = []
-        for i in nonzero:
+        c = self.descriptor.complement
+        images = self._block_images()
+        weights = self.var_degrees[:self.complement_var_start]
+        monomials = {}
+        minimal = list(range(1, c + 1))
+        for i in range(c + 1, self.k + 1):
+            image = images[i - 1]
+            if not image:
+                continue
             rows = [
-                {tuple(map(add, alpha, mu)): c for mu, c in self.chern[j - 1].items()}
-                for j in minimal
-                for alpha in self._monomials(2 * (i - j))
+                {tuple(map(add, beta, mu)): x for mu, x in images[j - 1].items()}
+                for j in minimal[c:]
+                for beta in _graded_monomials(weights, 2 * (i - j), monomials)
             ]
             if len(rows) >= self.basis_budget:
                 raise ResourceLimit(2 * i, len(rows) + 1, self.basis_budget)
-            if not rows or sparse_rank(rows + [self.chern[i - 1]]) > sparse_rank(rows):
+            if not rows or sparse_rank(rows + [image]) > sparse_rank(rows):
                 minimal.append(i)
                 if len(minimal) > self.nvars:
                     return None

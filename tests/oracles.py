@@ -18,6 +18,11 @@ that shares no code with the engine it checks:
   product is zero.  It uses the complex's own rows but no rank and no orbit
   representatives, so it tests the differential that every rank is taken
   of.
+* ``full_ring_minimal_generators`` decides minimality of each Chern image
+  in the whole polynomial ring R, complement variables included, with one
+  ``linalg.sparse_rank`` comparison per nonzero rho_i and no shortcut.  The
+  engine eliminates the complement first and ranks over the block variables
+  alone, so the two share only the Chern images and the rank routine.
 * ``PointedMap``, ``pushforward``, ``compose_rank`` and ``compose_indices``
   spell out the functoriality of the index calculus (maps of pointed sets
   push multiplicities forward; composition multiplies ranks).  They are the
@@ -30,8 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from operator import add
+
 from rankfilt.cartan import InvariantViolation
 from rankfilt.combinat import ContractViolation, IndexTuple
+from rankfilt.linalg import sparse_rank
 from rankfilt.poly import Poly
 
 # ---------------------------------------------------------------------------
@@ -113,6 +121,28 @@ def verify_d_squared(kc, degrees):
             if any(acc.values()):
                 raise InvariantViolation("d^2 != 0 in degree %d" % d)
     return True
+
+
+def full_ring_minimal_generators(kc):
+    """The degrees i whose rho_i minimally generate the ideal I of ``kc``
+    when there are exactly ``nvars`` of them, else None.
+
+    rho_i is minimal when it lies outside the span of the multiples
+    x^alpha rho_j (j < i, rho_j minimal) in degree 2i, with x^alpha over
+    every generator of R.
+    """
+    minimal = []
+    for i, rho in enumerate(kc.chern, start=1):
+        if not rho:
+            continue
+        rows = [
+            {tuple(map(add, alpha, mu)): c for mu, c in kc.chern[j - 1].items()}
+            for j in minimal
+            for alpha in kc._monomials(2 * (i - j))
+        ]
+        if not rows or sparse_rank(rows + [rho]) > sparse_rank(rows):
+            minimal.append(i)
+    return minimal if len(minimal) == kc.nvars else None
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from oracles import flag_poincare_oracle, verify_d_squared
+from oracles import flag_poincare_oracle, full_ring_minimal_generators, verify_d_squared
 from rankfilt.cache import memo
 from rankfilt.cartan import (
     EngineMismatch,
@@ -472,10 +472,20 @@ def test_rank_test_finds_the_minimal_generators():
     assert cartan_cohomology(OrbitDescriptor(2, (), 0)) == pu_oracle(2) * Poly({0: 1, 1: 1})
 
 
+def test_block_variable_rank_tests_match_the_full_ring():
+    for d in _connected(6) | set(_with_finite_part()):
+        kc = KoszulComplex(d)
+        text = d.canonical_string()
+        assert kc._minimal_generators() == full_ring_minimal_generators(kc), text
+        # phi(rho_i) = 0 for i <= c pins the recursion s = c(V)^(-1)
+        assert not any(kc._block_images()[:d.complement]), text
+
+
 def test_rank_tests_respect_the_basis_budget():
     memo.clear()
     with pytest.raises(ResourceLimit) as exc:
-        KoszulComplex(first_stage_descriptor(8, 3), basis_budget=4)._minimal_generators()
+        d = parse_descriptor("U(8)/S3wr(1,2)xU(2)")
+        KoszulComplex(d, basis_budget=4)._minimal_generators()
     assert exc.value.budget == 4 and exc.value.degree % 2 == 0
 
 
