@@ -31,36 +31,38 @@ assumed, on generators only: the adjacent transpositions of copies at every
 
 Complete intersections.  Write R = Q[generators of H*(BH_0)], with
 r = ``nvars`` generators (the rank of H_0), and I = (rho_1, ..., rho_k) for
-the Chern images.  H*(BH_0) is a finite module over H*(BU(k)) (Venkov), so
-R/I has finite length and I has height r: it needs at least r generators.
-When exactly r of the rho_i are minimal generators of I they form a regular
-sequence, I is a complete intersection, and in every degree
+the Chern images.  Then rho_1, ..., rho_r generate I and form a regular
+sequence.  Let z_1, ..., z_r be the Chern roots of H_0, z_v repeated m_v
+times (its tensor multiplicity, 1 for a complement root), so that rho_j is
+the j-th elementary symmetric function of that multiset.
 
-    H*(U(k)/H_0) = R/I (x) Lambda(y_i : rho_i not minimal)
+* Newton: for the power sums P_j = sum_v m_v z_v^j, Newton's identities
+  give (rho_1, ..., rho_j) = (P_1, ..., P_j) in R for every j.
+* Recurrence: each z_v is a root of prod_u (x - z_u), whose coefficients
+  eps_i, the elementary symmetric functions of the r distinct roots, are
+  invariant under every permutation of the roots and so lie in R.
+  Multiplying z_v^(j-r) prod_u (z_v - z_u) = 0 by m_v and summing over v
+  gives P_j = sum_{i=1..r} (-1)^(i-1) eps_i P_(j-i) for j > r, so
+  I = (P_1, ..., P_r) = (rho_1, ..., rho_r).
+* Regularity: H*(BH_0) is a finite module over H*(BU(k)) (Venkov), so R/I
+  has finite length; r elements cutting out a finite-length quotient of
+  the polynomial ring R on r generators are a system of parameters of a
+  Cohen-Macaulay ring, hence a regular sequence.
+
+So I is a complete intersection, and in every degree
+
+    H*(U(k)/H_0) = R/I (x) Lambda(y_(r+1), ..., y_k)
 
 (P. Baum, "On the cohomology of homogeneous spaces", Topology 7, 1968;
-Felix-Halperin-Thomas, "Rational Homotopy Theory", section 32).  If exactly
-r of the rho_i are nonzero they are all minimal, since fewer than r could
-not cut out a finite-length quotient; no rank is computed then, which
-covers every torus-commensurable descriptor.  Otherwise the rank tests
-run over the block variables alone, through the classical presentation of
-H*(Gr) by Segre classes.  With c the complement's size, c(V) the product
-of the blocks' factors (rho at w = 0) and s = c(V)^(-1) through degree 2c
-(s_n = -sum_{t=1..n} c(V)_t s_(n-t)), the map phi: w_j -> s_j sends R
-onto B = Q[block variables] with kernel (rho_1, ..., rho_c).  Each of
-rho_1, ..., rho_c is minimal without a rank: rho_i has the linear term
-w_i, while every element of (rho_j : j < i) in degree 2i lies in m^2.
-For i > c, rho_i is minimal when phi(rho_i) lies outside the span of the
-x^beta phi(rho_j) (c < j < i, rho_j minimal) in degree 2i, x^beta over
-the block variables: one ``sparse_rank`` comparison per nonzero
-phi(rho_i), on far fewer rows than over all of R.  With c = 0, phi is the
-identity.
+Felix-Halperin-Thomas, "Rational Homotopy Theory", section 32; Conca,
+Krattenthaler and Watanabe, "Regular sequences of symmetric polynomials",
+Rend. Sem. Mat. Univ. Padova 121, 2009).
 
 The finite part G fixes every rho_i and every y_i, so the cohomology of the
 quotient is (R/I)^G (x) Lambda, and since the Koszul resolution of R/I is
 G-equivariant with G acting trivially on its generators,
 
-    Hilb((R/I)^G) = prod_{i minimal} (1 - t^(2i)) * (1/|G|) sum_g 1/det(1 - g t | V)
+    Hilb((R/I)^G) = prod_{i<=r} (1 - t^(2i)) * (1/|G|) sum_g 1/det(1 - g t | V)
 
 for V the span of the polynomial generators.  The average is a sum over
 the cycle index of G on those generators
@@ -68,15 +70,13 @@ the cycle index of G on those generators
 a cycle of length L through the copies of a generator of degree 2j
 contributes 1 - t^(2jL).  The group is never listed.  The series is
 computed exactly, with Fractions, through the real dimension n; the even
-part must vanish above n - sum_{i not minimal} (2i - 1), which is the top
-degree of R/I.
+part must vanish above n - sum_{i>r} (2i - 1), which is the top degree
+of R/I.
 
-Every complete-intersection answer is checked against the Koszul ranks in
-the degrees through min(``WITNESS_DEGREES``, n), a witness that shares
-only the Chern images with the closed form; a disagreement raises
-:class:`EngineMismatch`.  When I is not a complete intersection the
-Koszul ranks are the answer: every degree through n is ranked, and since
-the cohomology vanishes above n that answer is exact too.  So every
+Every answer is checked against the Koszul ranks in the degrees through
+min(``WITNESS_DEGREES``, n), a witness that shares only the Chern images
+with the closed form; a disagreement raises :class:`EngineMismatch`.  The
+closed form holds through n, above which the cohomology vanishes, so every
 answer is exact; it is computed once per descriptor, and a cutoff only
 truncates it.
 
@@ -143,8 +143,8 @@ class EngineMismatch(ArithmeticError):
 
 class InvariantViolation(AssertionError):
     """A built-in check failed: the finite part does not commute with the
-    differential, or a result fails :func:`check_invariants` or the
-    complete-intersection degree bound."""
+    differential, the closed form is not integral or has R/I above its top
+    degree, or a result fails :func:`check_invariants`."""
 
 
 # ---------------------------------------------------------------------------
@@ -199,17 +199,6 @@ def _finite_part(u):
         return tuple(out)
 
     return width, canon, swaps
-
-
-def _graded_monomials(weights, degree, cache):
-    """Exponent tuples over ``weights`` of weighted degree ``degree``, in
-    lexicographic order, built once per degree in the dict ``cache``."""
-    got = cache.get(degree)
-    if got is None:
-        got = cache[degree] = []
-        if degree % 2 == 0 and degree >= 0:
-            _fill_monomials(weights, 0, degree, [], got)
-    return got
 
 
 def _fill_monomials(weights, idx, remaining, current, out):
@@ -303,8 +292,14 @@ class KoszulComplex:
     # -- bases ------------------------------------------------------------
 
     def _monomials(self, degree):
-        """Exponent tuples of weighted degree ``degree`` (degree is even)."""
-        return _graded_monomials(self.var_degrees, degree, self._mono_cache)
+        """Exponent tuples of weighted degree ``degree``, in lexicographic
+        order, built once per degree."""
+        got = self._mono_cache.get(degree)
+        if got is None:
+            got = self._mono_cache[degree] = []
+            if degree % 2 == 0 and degree >= 0:
+                _fill_monomials(self.var_degrees, 0, degree, [], got)
+        return got
 
     def _exterior(self):
         if self._ext_list is None:
@@ -396,96 +391,26 @@ class KoszulComplex:
             out.append(dims[d] - ranks[d] - below)
         return out
 
-
-
     # -- the complete-intersection route -------------------------------------
 
-    def _block_images(self):
-        """phi(rho_1), ..., phi(rho_k) over the block variables alone.
-
-        phi substitutes s_j = c(V)^(-1)_j for the complement's w_j, where
-        c(V) is rho at w = 0, so that c(V) phi(c(W)) = 1 through degree 2c
-        and phi(rho_i) = 0 for i <= c.  Every term of rho holds at most one
-        w_j, to the first power.
-        """
-        nb, c = self.complement_var_start, self.descriptor.complement
-        cv = [{m[:nb]: x for m, x in rho.items() if not any(m[nb:])} for rho in self.chern]
-        s = [{(0,) * nb: 1}]
-        for n in range(1, c + 1):
-            acc = {}
-            for t in range(1, n + 1):
-                for m, x in _poly_mul(cv[t - 1], s[n - t], nb).items():
-                    acc[m] = acc.get(m, 0) - x
-            s.append({m: x for m, x in acc.items() if x})
-        images = []
-        for rho in self.chern:
-            out = {}
-            for m, x in rho.items():
-                w = m[nb:]
-                for mu, y in s[w.index(1) + 1 if any(w) else 0].items():
-                    key = tuple(map(add, m[:nb], mu))
-                    out[key] = out.get(key, 0) + x * y
-            images.append({m: x for m, x in out.items() if x})
-        return images
-
-    def _minimal_generators(self):
-        """The degrees i whose rho_i minimally generate I, when there are
-        exactly ``nvars`` of them, so that I is a complete intersection;
-        None otherwise.
-
-        When exactly ``nvars`` of the rho_i are nonzero no rank is needed.
-        Otherwise rho_1, ..., rho_c are minimal, and for i > c rho_i is
-        minimal when phi(rho_i) lies outside the span of the multiples
-        x^beta phi(rho_j) (c < j < i, rho_j minimal) in degree 2i, with x^beta
-        over the block variables and phi from :meth:`_block_images` (see the
-        module docstring).
-        """
-        nonzero = [i for i, rho in enumerate(self.chern, start=1) if rho]
-        if len(nonzero) == self.nvars:
-            return nonzero
-        c = self.descriptor.complement
-        images = self._block_images()
-        weights = self.var_degrees[:self.complement_var_start]
-        monomials = {}
-        minimal = list(range(1, c + 1))
-        for i in range(c + 1, self.k + 1):
-            image = images[i - 1]
-            if not image:
-                continue
-            rows = [
-                {tuple(map(add, beta, mu)): x for mu, x in images[j - 1].items()}
-                for j in minimal[c:]
-                for beta in _graded_monomials(weights, 2 * (i - j), monomials)
-            ]
-            if len(rows) >= self.basis_budget:
-                raise ResourceLimit(2 * i, len(rows) + 1, self.basis_budget)
-            if not rows or sparse_rank(rows + [image]) > sparse_rank(rows):
-                minimal.append(i)
-                if len(minimal) > self.nvars:
-                    return None
-        return minimal if len(minimal) == self.nvars else None
-
     def complete_intersection(self):
-        """Exact Poincare polynomial when I is a complete intersection, else None.
+        """Exact Poincare polynomial from the closed form.
 
-        P = Hilb((R/I)^G) * prod_{i not minimal} (1 + t^(2i-1)), with the
-        first factor the average over the finite part G of
-        prod_{i minimal} (1 - t^(2i)) / det(1 - g t), taken over the cycle
-        index of G on the polynomial generators through the real dimension.
+        P = Hilb((R/I)^G) * prod_{i>r} (1 + t^(2i-1)), r = ``nvars``, with
+        the first factor the average over the finite part G of
+        prod_{i<=r} (1 - t^(2i)) / det(1 - g t), taken over the cycle index
+        of G on the polynomial generators through the real dimension.
         """
-        minimal = self._minimal_generators()
-        if minimal is None:
-            return None
-        d = self.descriptor
+        d, r = self.descriptor, self.nvars
         n = real_dimension(d)
-        free = [i for i in range(1, self.k + 1) if i not in minimal]
+        free = range(r + 1, self.k + 1)
         top = n - sum(2 * i - 1 for i in free)
         half = n // 2  # in q = t^2
         series = Poly.zero(half)
         for part, weight in generator_cycle_index(d).items():
             series = series + prod((Poly.geometric(m, half) for m in part), half) * weight
         try:
-            even = (series * prod(Poly.one_minus(i) for i in minimal)).as_integer()
+            even = (series * prod(Poly.one_minus(i) for i in range(1, r + 1))).as_integer()
         except ArithmeticError as exc:
             raise InvariantViolation("%s for %s" % (exc, d.canonical_string())) from None
         if 2 * even.degree() > top:
@@ -512,15 +437,11 @@ def cartan_cohomology(descriptor, cutoff=None, basis_budget=DEFAULT_BASIS_BUDGET
 
 
 def _cartan(d, basis_budget):
-    """One complex: the complete-intersection route with its Koszul witness
-    through min(WITNESS_DEGREES, dimension), or the Koszul ranks through the
-    dimension, above which the cohomology vanishes."""
+    """One complex: the complete-intersection closed form, checked against
+    its Koszul witness through min(WITNESS_DEGREES, dimension)."""
     kc = KoszulComplex(d, basis_budget=basis_budget)
     n = real_dimension(d)
-    exact = kc.complete_intersection()
-    if exact is None:
-        return check_invariants(d, Poly(dict(enumerate(kc.cohomology_dims(n)))))
-    check_invariants(d, exact)
+    exact = check_invariants(d, kc.complete_intersection())
     through = min(WITNESS_DEGREES, n)
     witness = Poly(dict(enumerate(kc.cohomology_dims(through))), through)
     if not exact.agrees(witness):

@@ -21,8 +21,9 @@ that shares no code with the engine it checks:
 * ``full_ring_minimal_generators`` decides minimality of each Chern image
   in the whole polynomial ring R, complement variables included, with one
   ``linalg.sparse_rank`` comparison per nonzero rho_i and no shortcut.  The
-  engine eliminates the complement first and ranks over the block variables
-  alone, so the two share only the Chern images and the rank routine.
+  engine ranks nothing here: it takes rho_1..rho_r as the minimal
+  generators by the theorem in the ``cartan`` module docstring, which this
+  oracle checks.
 * ``PointedMap``, ``pushforward``, ``compose_rank`` and ``compose_indices``
   spell out the functoriality of the index calculus (maps of pointed sets
   push multiplicities forward; composition multiplies ranks).  They are the

@@ -408,18 +408,6 @@ def test_finite_part_route_matches_invariant_koszul():
         assert [exact[i] for i in range(through + 1)] == full, text
 
 
-def test_forced_fallback_gives_the_koszul_ranks(monkeypatch):
-    monkeypatch.setattr(KoszulComplex, "_minimal_generators", lambda self: None)
-    memo.clear()
-    for text in ["U(4)/(1,2)xU(2)", "U(4)/S2wr(1)xU(2)", "U(3)/(1)x(2)"]:
-        d = parse_descriptor(text)
-        got = cartan_cohomology(d)
-        assert got.is_exact(), text
-        assert got == Poly(dict(enumerate(KoszulComplex(d).cohomology_dims(real_dimension(d)))))
-        assert cartan_cohomology(d, 5) == got.truncate(5), text
-    memo.clear()
-
-
 def test_one_memo_entry_per_descriptor():
     # the exact answer is stored once; a cutoff only truncates it
     memo.clear()
@@ -450,43 +438,22 @@ def _connected(k_max):
     }
 
 
-def test_small_connected_descriptors_are_complete_intersections():
-    # why the Koszul fallback is unreached in practice; a finite part
-    # leaves the ideal unchanged
-    found = _connected(6)
-    assert len(found) == 294
-    for d in found:
-        assert KoszulComplex(d)._minimal_generators() is not None, d.canonical_string()
-
-
-def test_rank_test_finds_the_minimal_generators():
+def test_the_first_r_chern_images_minimally_generate_the_ideal():
+    # rho_1, ..., rho_r minimally generate I (r = nvars): the theorem behind
+    # the closed form, checked by the full-ring oracle
+    connected = _connected(6)
+    assert len(connected) == 294
+    for d in connected | set(_with_finite_part()):
+        kc = KoszulComplex(d)
+        assert full_ring_minimal_generators(kc) == list(range(1, kc.nvars + 1)), (
+            d.canonical_string())
     # (1 + u)^2 (1 + w): rho_1 = 2u + w and rho_2 = u^2 + 2uw generate I,
     # rho_3 = u^2 w is redundant
     kc = KoszulComplex(parse_descriptor("U(3)/(1,2)xU(1)"))
-    assert kc._minimal_generators() == [1, 2]
-    # torus-commensurable: all k Chern images are nonzero, no rank needed
-    assert KoszulComplex(parse_descriptor("U(4)/S2wr(1)xU(2)"))._minimal_generators() == [
-        1, 2, 3, 4]
+    assert full_ring_minimal_generators(kc) == [1, 2]
     # trivial isotropy: no generators, every y_i is free
-    assert KoszulComplex(OrbitDescriptor(2, (), 0))._minimal_generators() == []
+    assert full_ring_minimal_generators(KoszulComplex(OrbitDescriptor(2, (), 0))) == []
     assert cartan_cohomology(OrbitDescriptor(2, (), 0)) == pu_oracle(2) * Poly({0: 1, 1: 1})
-
-
-def test_block_variable_rank_tests_match_the_full_ring():
-    for d in _connected(6) | set(_with_finite_part()):
-        kc = KoszulComplex(d)
-        text = d.canonical_string()
-        assert kc._minimal_generators() == full_ring_minimal_generators(kc), text
-        # phi(rho_i) = 0 for i <= c pins the recursion s = c(V)^(-1)
-        assert not any(kc._block_images()[:d.complement]), text
-
-
-def test_rank_tests_respect_the_basis_budget():
-    memo.clear()
-    with pytest.raises(ResourceLimit) as exc:
-        d = parse_descriptor("U(8)/S3wr(1,2)xU(2)")
-        KoszulComplex(d, basis_budget=4)._minimal_generators()
-    assert exc.value.budget == 4 and exc.value.degree % 2 == 0
 
 
 def test_first_stage_closed_form_through_the_dimension():
@@ -509,16 +476,7 @@ def test_negative_cutoff_is_a_contract_violation():
 def test_degree_zero_must_be_one(monkeypatch):
     import rankfilt.cartan as cartan_mod
 
-    # the Koszul fallback
-    monkeypatch.setattr(KoszulComplex, "_minimal_generators", lambda self: None)
-    monkeypatch.setattr(KoszulComplex, "cohomology_dims", lambda self, cutoff: [2] * (cutoff + 1))
-    for text in ["U(3)/(1,2)xU(1)", "U(4)/S2wr(1)xU(2)"]:
-        memo.clear()
-        with pytest.raises(InvariantViolation):
-            cartan_cohomology(parse_descriptor(text), 6)
-    monkeypatch.undo()
-
-    # the complete-intersection route, with every weight of the average doubled
+    # every weight of the average doubled
     cycle_index = cartan_mod.generator_cycle_index
     monkeypatch.setattr(
         cartan_mod, "generator_cycle_index",
