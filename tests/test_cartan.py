@@ -438,22 +438,37 @@ def _connected(k_max):
     }
 
 
-def test_the_first_r_chern_images_minimally_generate_the_ideal():
+def test_small_connected_descriptors_are_complete_intersections():
     # rho_1, ..., rho_r minimally generate I (r = nvars): the theorem behind
     # the closed form, checked by the full-ring oracle
-    connected = _connected(6)
-    assert len(connected) == 294
-    for d in connected | set(_with_finite_part()):
+    found = _connected(6)
+    assert len(found) == 294
+    for d in found:
         kc = KoszulComplex(d)
         assert full_ring_minimal_generators(kc) == list(range(1, kc.nvars + 1)), (
             d.canonical_string())
+
+
+def test_rank_test_finds_the_minimal_generators():
     # (1 + u)^2 (1 + w): rho_1 = 2u + w and rho_2 = u^2 + 2uw generate I,
     # rho_3 = u^2 w is redundant
     kc = KoszulComplex(parse_descriptor("U(3)/(1,2)xU(1)"))
     assert full_ring_minimal_generators(kc) == [1, 2]
+    # torus-commensurable: all k Chern images are minimal
+    assert full_ring_minimal_generators(
+        KoszulComplex(parse_descriptor("U(4)/S2wr(1)xU(2)"))) == [1, 2, 3, 4]
     # trivial isotropy: no generators, every y_i is free
     assert full_ring_minimal_generators(KoszulComplex(OrbitDescriptor(2, (), 0))) == []
     assert cartan_cohomology(OrbitDescriptor(2, (), 0)) == pu_oracle(2) * Poly({0: 1, 1: 1})
+
+
+def test_block_variable_rank_tests_match_the_full_ring():
+    # the generators the closed form takes, rho_1..rho_r, are the ones the
+    # full-ring oracle finds with a finite part too (it leaves I unchanged)
+    for d in _with_finite_part():
+        kc = KoszulComplex(d)
+        assert full_ring_minimal_generators(kc) == list(range(1, kc.nvars + 1)), (
+            d.canonical_string())
 
 
 def test_first_stage_closed_form_through_the_dimension():
