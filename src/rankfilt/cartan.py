@@ -108,12 +108,12 @@ from .orbitspace import (
 )
 from .poly import Poly, prod
 
-DEFAULT_BASIS_BUDGET = 500_000
+BASIS_BUDGET = 500_000
 WITNESS_DEGREES = 8
 
 
 class ResourceLimit(RuntimeError):
-    """A graded piece exceeded the configured basis budget."""
+    """A graded piece has more than ``BASIS_BUDGET`` basis elements."""
 
     def __init__(self, degree, size, budget):
         self.degree = degree
@@ -226,11 +226,10 @@ def _swap(mono, a, w):
 class KoszulComplex:
     """The Cartan model of U(k)/H for a canonical orbit descriptor."""
 
-    def __init__(self, descriptor, basis_budget=DEFAULT_BASIS_BUDGET):
+    def __init__(self, descriptor):
         d = descriptor.canonicalize()
         self.descriptor = d
         self.k = d.k
-        self.basis_budget = basis_budget
 
         # polynomial generators: per leaf block, then the complement
         self.var_degrees = []
@@ -250,7 +249,7 @@ class KoszulComplex:
         self._check_equivariance()
 
         self._mono_cache = {}
-        self._ext_list = None
+        self._ext_cache = {}
         self._rank_cache = {}
         self._basis_cache = {}
 
@@ -301,15 +300,22 @@ class KoszulComplex:
                 _fill_monomials(self.var_degrees, 0, degree, [], got)
         return got
 
-    def _exterior(self):
-        if self._ext_list is None:
-            gens = list(range(1, self.k + 1))
-            subsets = []
-            for r in range(self.k + 1):
-                for comb in itertools.combinations(gens, r):
-                    subsets.append((comb, sum(2 * i - 1 for i in comb)))
-            self._ext_list = subsets
-        return self._ext_list
+    def _exterior(self, degree):
+        """(subset, degree) for the subsets of y_1..y_j, j the largest index
+        with deg y_j = 2j - 1 <= ``degree``, by size and then lexicographically.
+
+        No y_i with i > j fits in ``degree``, and the subsets of a prefix come
+        in the same order as in the enumeration of all 2^k subsets.
+        """
+        j = max(0, min(self.k, (degree + 1) // 2))
+        got = self._ext_cache.get(j)
+        if got is None:
+            got = self._ext_cache[j] = [
+                (comb, sum(2 * i - 1 for i in comb))
+                for r in range(j + 1)
+                for comb in itertools.combinations(range(1, j + 1), r)
+            ]
+        return got
 
     def _orbits(self, invariants):
         return invariants and bool(self.generators)
@@ -326,15 +332,15 @@ class KoszulComplex:
             return got
         canon = self.canonical if key[1] else None
         out = []
-        for ext, edeg in self._exterior():
+        for ext, edeg in self._exterior(degree):
             rest = degree - edeg
             if rest < 0 or rest % 2:
                 continue
             for mono in self._monomials(rest):
                 if canon is None or canon(mono) == mono:
                     out.append((ext, mono))
-        if len(out) > self.basis_budget:
-            raise ResourceLimit(degree, len(out), self.basis_budget)
+        if len(out) > BASIS_BUDGET:
+            raise ResourceLimit(degree, len(out), BASIS_BUDGET)
         self._basis_cache[key] = out
         return out
 
@@ -423,7 +429,7 @@ class KoszulComplex:
         )
 
 
-def cartan_cohomology(descriptor, cutoff=None, basis_budget=DEFAULT_BASIS_BUDGET):
+def cartan_cohomology(descriptor, cutoff=None):
     """Poincare polynomial of U(k)/H from the Cartan model.
 
     Exact (``truncation=None``), computed once per descriptor and memoized;
@@ -432,14 +438,14 @@ def cartan_cohomology(descriptor, cutoff=None, basis_budget=DEFAULT_BASIS_BUDGET
     if cutoff is not None and cutoff < 0:
         raise ContractViolation("the cutoff must be >= 0, got %d" % cutoff)
     d = descriptor.canonicalize()
-    got = memo.get_or_compute(("cartan", d), lambda: _cartan(d, basis_budget))
+    got = memo.get_or_compute(("cartan", d), lambda: _cartan(d))
     return got if cutoff is None else got.truncate(cutoff)
 
 
-def _cartan(d, basis_budget):
+def _cartan(d):
     """One complex: the complete-intersection closed form, checked against
     its Koszul witness through min(WITNESS_DEGREES, dimension)."""
-    kc = KoszulComplex(d, basis_budget=basis_budget)
+    kc = KoszulComplex(d)
     n = real_dimension(d)
     exact = check_invariants(d, kc.complete_intersection())
     through = min(WITNESS_DEGREES, n)
@@ -485,7 +491,7 @@ def check_invariants(d, p):
     return p
 
 
-def poincare(descriptor, cutoff=None, engine="auto", basis_budget=DEFAULT_BASIS_BUDGET):
+def poincare(descriptor, cutoff=None, engine="auto"):
     """Poincare polynomial dispatcher.
 
     Torus-commensurable descriptors go to the Molien engine and come back
@@ -503,11 +509,11 @@ def poincare(descriptor, cutoff=None, engine="auto", basis_budget=DEFAULT_BASIS_
     d = descriptor.canonicalize()
     if engine == "molien" or (engine == "auto" and d.is_torus_commensurable()):
         compare = engine == "auto" and cutoff is not None
-        q = cartan_cohomology(d, basis_budget=basis_budget) if compare else None
+        q = cartan_cohomology(d) if compare else None
         p = memo.get_or_compute(("molien", d), lambda: _molien_checked(d, q))
         _cross_check(d, p, q)
         return p
-    return cartan_cohomology(d, cutoff, basis_budget)
+    return cartan_cohomology(d, cutoff)
 
 
 def _molien_checked(d, cartan):

@@ -13,19 +13,15 @@ Exit codes, so CI can tell math findings from plumbing failures:
         b_0 = 1, the dimension bound, Poincare duality or the Euler
         characteristic (a math bug signal)
 
-Without a cutoff (``--cutoff`` or the config's ``default_cutoff``) every
-answer is exact.  A cutoff truncates a Cartan answer; a Molien answer is
-exact whatever the cutoff.  ``poincare --json`` states the truncation as
-``cutoff`` and ``report --json`` as ``first_stage_cutoff``, null when the
-answer is exact.
+Without ``--cutoff`` every answer is exact.  A cutoff truncates a Cartan
+answer; a Molien answer is exact whatever the cutoff.  ``poincare --json``
+states the truncation as ``cutoff`` and ``report --json`` as
+``first_stage_cutoff``, null when the answer is exact.
 
 Output is deterministic: JSON is emitted with sorted keys, and polynomial
 maps are keyed by degree in sorted order.  A persistent JSON result cache
 can be pointed at with ``--cache`` or the RANKFILT_CACHE environment
 variable; a corrupt cache is ignored with a warning, never fatal.
-Defaults (cutoffs, the cube size guard, the basis budget) can be set in a
-JSON config file via ``--config`` or RANKFILT_CONFIG; a config that is not
-a JSON object, or a key it does not know, draws a warning on stderr.
 """
 
 from __future__ import annotations
@@ -50,40 +46,6 @@ EXIT_RESOURCE = 5
 EXIT_INVARIANT = 6
 
 ENGINE_VERSION = "rankfilt-0.3.0"
-
-CONFIG_DEFAULTS = {
-    "default_cutoff": None,  # None: exact answers
-    "basis_budget": cartan.DEFAULT_BASIS_BUDGET,
-    "m_max": spectra.DEFAULT_M_MAX,
-    "k_cap": spectra.DEFAULT_K_CAP,
-}
-
-
-def load_config(path):
-    """Defaults overlaid with the JSON object at ``path`` (or RANKFILT_CONFIG).
-
-    A file that cannot be read or is not a JSON object is ignored with a
-    warning; unknown keys are ignored with one warning that names them.
-    """
-    cfg = dict(CONFIG_DEFAULTS)
-    if not path:
-        path = os.environ.get("RANKFILT_CONFIG")
-    if not path:
-        return cfg
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError("not a JSON object")
-    except (OSError, ValueError) as exc:
-        print("warning: ignoring config %s (%s)" % (path, exc), file=sys.stderr)
-        return cfg
-    unknown = sorted(set(data) - set(cfg))
-    if unknown:
-        print("warning: ignoring unknown config keys in %s: %s" % (path, ", ".join(unknown)),
-              file=sys.stderr)
-    cfg.update((key, data[key]) for key in cfg if key in data)
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +116,11 @@ class ResultCache:
             print("warning: could not write cache %s (%s)" % (self.path, exc), file=sys.stderr)
 
 
-def _recompute_entry(key, cfg):
+def _recompute_entry(key):
     desc_str, engine, cutoff_tag = key.rsplit("|", 2)
     desc = parse_descriptor(desc_str)
     cutoff = None if cutoff_tag == "exact" else int(cutoff_tag)
-    return cartan.poincare(desc, cutoff=cutoff, engine=engine, basis_budget=cfg["basis_budget"])
+    return cartan.poincare(desc, cutoff=cutoff, engine=engine)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +140,7 @@ def emit_csv(rows):
 # subcommands
 
 
-def cmd_summands(args, cfg):
+def cmd_summands(args):
     k, l, t = args.k, args.l, args.t
     if args.subquotient is not None:
         ss = combinat.subquotient_summands(k, l, t, args.subquotient, positive_only=args.positive)
@@ -209,7 +171,7 @@ def cmd_summands(args, cfg):
     return EXIT_OK
 
 
-def cmd_poincare(args, cfg):
+def cmd_poincare(args):
     desc = parse_descriptor(args.descriptor)
     cache = ResultCache(args.cache or os.environ.get("RANKFILT_CACHE"))
     key = ResultCache.key(desc.canonical_string(), args.engine, args.cutoff)
@@ -218,7 +180,7 @@ def cmd_poincare(args, cfg):
         bad = []
         for entry_key in sorted(cache.entries):
             try:
-                fresh = _recompute_entry(entry_key, cfg)
+                fresh = _recompute_entry(entry_key)
             except Exception as exc:  # unparsable key counts as a stale entry
                 bad.append((entry_key, "recompute failed: %s" % exc))
                 continue
@@ -232,9 +194,7 @@ def cmd_poincare(args, cfg):
 
     poly = cache.get(key)
     if poly is None:
-        poly = cartan.poincare(
-            desc, cutoff=args.cutoff, engine=args.engine, basis_budget=cfg["basis_budget"]
-        )
+        poly = cartan.poincare(desc, cutoff=args.cutoff, engine=args.engine)
         cache.put(key, poly)
         cache.save()
     if args.json:
@@ -252,15 +212,12 @@ def cmd_poincare(args, cfg):
     return EXIT_OK
 
 
-def cmd_cube(args, cfg):
-    if args.m > cfg["m_max"] and not args.allow_large:
+def cmd_cube(args):
+    if args.m > spectra.M_MAX and not args.allow_large:
         raise ContractViolation(
-            "m=%d is beyond the configured M_max=%d; pass --allow-large to force"
-            % (args.m, cfg["m_max"])
+            "m=%d is beyond M_max=%d; pass --allow-large to force" % (args.m, spectra.M_MAX)
         )
-    report = decomp.cube_report(
-        args.m, args.l, args.k, cutoff=args.cutoff, basis_budget=cfg["basis_budget"]
-    )
+    report = decomp.cube_report(args.m, args.l, args.k, cutoff=args.cutoff)
     if args.json:
         emit_json(report.to_json())
     else:
@@ -278,11 +235,8 @@ def cmd_cube(args, cfg):
     return EXIT_OK if report.verified else EXIT_VERIFICATION
 
 
-def cmd_report(args, cfg):
-    report = spectra.small_range_report(
-        args.k, args.l, cutoff=args.cutoff, m_max=cfg["m_max"], k_cap=cfg["k_cap"],
-        basis_budget=cfg["basis_budget"],
-    )
+def cmd_report(args):
+    report = spectra.small_range_report(args.k, args.l, cutoff=args.cutoff)
     if args.json:
         emit_json(report.to_json())
     elif args.csv:
@@ -303,7 +257,7 @@ def cmd_report(args, cfg):
     return EXIT_OK if report.verified else EXIT_VERIFICATION
 
 
-def cmd_ku_series(args, cfg):
+def cmd_ku_series(args):
     series = spectra.ku_limit_series(
         args.l,
         args.t,
@@ -336,7 +290,6 @@ def build_parser():
         prog="rankfilt",
         description="Exact invariants of the rank filtration of matrix mapping spectra.",
     )
-    parser.add_argument("--config", help="JSON config file (or RANKFILT_CONFIG)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("summands", help="wedge-summand index tuples for a pointed set")
@@ -389,30 +342,13 @@ def build_parser():
     return parser
 
 
-def _is_count(value):
-    """An int >= 0; a bool is not a count."""
-    return type(value) is int and value >= 0
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = load_config(args.config)
-    for key, value in cfg.items():
-        if not _is_count(value) and not (key == "default_cutoff" and value is None):
-            print("error: config key %s must be an integer >= 0, got %r" % (key, value),
-                  file=sys.stderr)
-            return EXIT_USAGE
-    # the configured default cutoff stands in wherever --cutoff is left out
-    if "cutoff" in vars(args):
-        if args.cutoff is None:
-            args.cutoff = cfg["default_cutoff"]
-        if args.cutoff is not None and not _is_count(args.cutoff):
-            print("error: the cutoff must be an integer >= 0, got %r" % (args.cutoff,),
-                  file=sys.stderr)
-            return EXIT_USAGE
+    args = build_parser().parse_args(argv)
+    if getattr(args, "cutoff", None) is not None and args.cutoff < 0:
+        print("error: the cutoff must be an integer >= 0, got %d" % args.cutoff, file=sys.stderr)
+        return EXIT_USAGE
     try:
-        return args.func(args, cfg)
+        return args.func(args)
     except cartan.EngineMismatch as exc:
         print("engine mismatch on %s" % exc.descriptor.canonical_string(), file=sys.stderr)
         for name, poly in exc.answers:

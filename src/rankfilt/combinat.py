@@ -95,9 +95,6 @@ class SummandSet:
     def __iter__(self):
         return iter(self.tuples)
 
-    def entry_tuples(self):
-        return [it.entries for it in self.tuples]
-
     def to_json(self):
         return {
             "k": self.k,
@@ -163,7 +160,9 @@ def subquotient_summands(k, l, t, m, positive_only=False):
     With ``positive_only`` every entry must be >= 1 (the unpointed summand
     family on the set of supports).
     """
-    _check_context(k, l, t, m)
+    _check_context(k, l, t, None)
+    if m < 0:
+        raise ContractViolation("need subquotient stage m >= 0")
     if l * m > k:
         return SummandSet(k, l, t, m, ())
     out = []

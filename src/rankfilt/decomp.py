@@ -138,14 +138,6 @@ class ChainType:
             raise ContractViolation("root dimension differs from ambient dimension")
         _check_levels(self.root)
 
-    @staticmethod
-    def of(m, root):
-        return ChainType(m, _canon_tree(root))
-
-    def level_counts(self):
-        """Component counts per level, top (coarsest) to bottom (finest)."""
-        return [len(level) for level in _levels(self.root)][1:]
-
     def leaves(self):
         *_, finest = _levels(self.root)
         return [dim for dim, _ in finest]
@@ -166,11 +158,6 @@ def _strip_finest(node, depth):
     if depth == 1:
         return (dim, ())
     return _canonical_node(dim, tuple(_strip_finest(c, depth - 1) for c in children))
-
-
-def _canon_tree(node):
-    dim, children = node
-    return _canonical_node(dim, tuple(_canon_tree(c) for c in children))
 
 
 def _levels(root):
@@ -395,7 +382,7 @@ def _subsets(elements):
     return sorted(out, key=lambda s: (len(s), s))
 
 
-def cube_report(m, l=1, k=None, cutoff=None, basis_budget=cartan.DEFAULT_BASIS_BUDGET):
+def cube_report(m, l=1, k=None, cutoff=None):
     """Build and verify the cube of chain spaces for C^m, generalized by (k, l).
 
     For every subset U of {2, ..., m} the vertex data is computed; for every
@@ -411,9 +398,6 @@ def cube_report(m, l=1, k=None, cutoff=None, basis_budget=cartan.DEFAULT_BASIS_B
     if l < 1 or k < l * m:
         raise ContractViolation("need l >= 1 and k >= l*m")
 
-    def vertex_poly(desc):
-        return cartan.poincare(desc, cutoff=cutoff, basis_budget=basis_budget)
-
     vertices = {}
     forests = {}
     for subset in _subsets(range(2, m + 1)):
@@ -421,7 +405,7 @@ def cube_report(m, l=1, k=None, cutoff=None, basis_budget=cartan.DEFAULT_BASIS_B
         total = Poly.zero()
         for c in enumerate_chain_types(m, subset, forests):
             desc = stabilizer(c, l, k)
-            p = vertex_poly(desc)
+            p = cartan.poincare(desc, cutoff=cutoff)
             chains.append((c, desc, p))
             total = total + p
         vertices[subset] = CubeVertex(subset, tuple(chains), total)

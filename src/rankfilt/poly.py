@@ -70,9 +70,6 @@ class Poly:
         """Top degree with a nonzero coefficient, or -1 for the zero polynomial."""
         return max(self.coeffs) if self.coeffs else -1
 
-    def is_exact(self):
-        return self.truncation is None
-
     # -- arithmetic ----------------------------------------------------
 
     @staticmethod

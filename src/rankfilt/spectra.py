@@ -31,8 +31,8 @@ DEGREE_ZERO_NOTE = (
     "the suspension spectrum of the space with a disjoint basepoint adds nothing"
 )
 
-DEFAULT_M_MAX = 4
-DEFAULT_K_CAP = 8
+M_MAX = 4
+K_CAP = 8
 
 
 def vanishing_check(k, l):
@@ -69,28 +69,18 @@ class SubquotientVerdict:
     def verdict(self):
         return "rationally trivial" if self.verified else "verification FAILED"
 
-    def counterexamples(self):
-        out = []
-        for e in self.cube.edges:
-            if not e.ok:
-                out.append({"subset": list(e.subset), "mismatches": list(e.mismatches)})
-        if not self.cube.signed_sum_zero:
-            out.append({"signed_sum": self.cube.signed_sum.to_map()})
-        return out
 
-
-def subquotient_rational_check(k, l, m, cutoff=None, basis_budget=cartan.DEFAULT_BASIS_BUDGET):
+def subquotient_rational_check(k, l, m, cutoff=None):
     """Verify rational triviality of the stage-m subquotient of the (k, l) spectrum.
 
     Runs the generalized cube over C^m, whose vertex isotropy comes from
     ``decomp.stabilizer(chain, l, k)``: every leaf block carries tensor
     multiplicity l and a complement U(k - l*m) is added.  A failed edge or
-    signed sum is returned as a structured counterexample report, not
-    raised.
+    signed sum lands in the verdict's cube report, it is not raised.
     """
     if not 2 <= m <= k // l:
         raise ContractViolation("need 2 <= m <= floor(k/l)")
-    cube = decomp.cube_report(m, l, k, cutoff=cutoff, basis_budget=basis_budget)
+    cube = decomp.cube_report(m, l, k, cutoff=cutoff)
     return SubquotientVerdict(k, l, m, cube.verified, cube)
 
 
@@ -255,35 +245,29 @@ class FiltrationReport:
         return rows
 
 
-def small_range_report(
-    k, l, cutoff=None, m_max=DEFAULT_M_MAX, k_cap=DEFAULT_K_CAP,
-    basis_budget=cartan.DEFAULT_BASIS_BUDGET,
-):
+def small_range_report(k, l, cutoff=None):
     """Full filtration report for a pair (k, l).
 
     One-stage ranges (floor(k/l) = 1) are marked as such and the full
     rational homology is the first-stage polynomial.  Higher stages carry
     their prime-power flags and the outcome of the subquotient verification;
-    stages beyond ``m_max`` are skipped (raise ``m_max`` to force them).
+    stages beyond ``M_MAX`` are skipped; ``cube m --l l --k k --allow-large``
+    runs the same check for such a stage m.
     """
-    if k > k_cap:
-        raise ContractViolation(
-            "k=%d exceeds the configured cap %d for the Cartan engine" % (k, k_cap)
-        )
+    if k > K_CAP:
+        raise ContractViolation("k=%d exceeds the cap %d for the Cartan engine" % (k, K_CAP))
     if vanishing_check(k, l):
         return FiltrationReport(
             k=k, l=l, vanishes=True, length=0, pi0=0, first_stage=None, stages=()
         )
     length = k // l
-    first = cartan.poincare(
-        first_stage_descriptor(k, l), cutoff=cutoff, basis_budget=basis_budget
-    )
+    first = cartan.poincare(first_stage_descriptor(k, l), cutoff=cutoff)
     stages = [StageReport(1, None, "first stage", first)]
     for m in range(2, length + 1):
-        if m > m_max:
+        if m > M_MAX:
             stages.append(StageReport(m, is_prime_power(m), "skipped (beyond M_max)", Poly.zero()))
             continue
-        verdict = subquotient_rational_check(k, l, m, cutoff=cutoff, basis_budget=basis_budget)
+        verdict = subquotient_rational_check(k, l, m, cutoff=cutoff)
         stages.append(StageReport(m, is_prime_power(m), verdict.verdict, Poly.zero()))
     endo = first if k == l else None
     return FiltrationReport(

@@ -18,12 +18,19 @@ that shares no code with the engine it checks:
   product is zero.  It uses the complex's own rows but no rank and no orbit
   representatives, so it tests the differential that every rank is taken
   of.
+* ``full_exterior_basis`` is ``KoszulComplex.basis`` without the bound on
+  the exterior part: it tries all 2^k subsets of y_1..y_k in every degree,
+  so it checks that the bounded enumeration drops only subsets that cannot
+  fit and keeps the order.
 * ``full_ring_minimal_generators`` decides minimality of each Chern image
   in the whole polynomial ring R, complement variables included, with one
   ``linalg.sparse_rank`` comparison per nonzero rho_i and no shortcut.  The
   engine ranks nothing here: it takes rho_1..rho_r as the minimal
   generators by the theorem in the ``cartan`` module docstring, which this
   oracle checks.
+* ``canonical_chain_type`` and ``level_counts`` build a ``ChainType`` from
+  an unsorted tree and read its component counts per level, for the tests
+  of the chain-tree validation in ``decomp``.
 * ``PointedMap``, ``pushforward``, ``compose_rank`` and ``compose_indices``
   spell out the functoriality of the index calculus (maps of pointed sets
   push multiplicities forward; composition multiplies ranks).  They are the
@@ -33,6 +40,7 @@ that shares no code with the engine it checks:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,6 +48,7 @@ from operator import add
 
 from rankfilt.cartan import InvariantViolation
 from rankfilt.combinat import ContractViolation, IndexTuple
+from rankfilt.decomp import ChainType
 from rankfilt.linalg import sparse_rank
 from rankfilt.poly import Poly
 
@@ -124,6 +133,23 @@ def verify_d_squared(kc, degrees):
     return True
 
 
+def full_exterior_basis(kc, degree, invariants=True):
+    """The basis of ``kc`` in ``degree`` from every subset of y_1..y_k, by
+    size and then lexicographically, each subset with every monomial that
+    completes its degree (orbit representatives only with ``invariants``)."""
+    orbits = invariants and bool(kc.generators)
+    out = []
+    for r in range(kc.k + 1):
+        for ext in itertools.combinations(range(1, kc.k + 1), r):
+            rest = degree - sum(2 * i - 1 for i in ext)
+            if rest < 0 or rest % 2:
+                continue
+            for mono in kc._monomials(rest):
+                if not orbits or kc.canonical(mono) == mono:
+                    out.append((ext, mono))
+    return out
+
+
 def full_ring_minimal_generators(kc):
     """The degrees i whose rho_i minimally generate the ideal I of ``kc``
     when there are exactly ``nvars`` of them, else None.
@@ -144,6 +170,30 @@ def full_ring_minimal_generators(kc):
         if not rows or sparse_rank(rows + [rho]) > sparse_rank(rows):
             minimal.append(i)
     return minimal if len(minimal) == kc.nvars else None
+
+
+# ---------------------------------------------------------------------------
+# chain trees
+
+
+def canonical_chain_type(m, root):
+    """The ``ChainType`` of ``root`` with the children of every node sorted
+    descending, which is the canonical form ``ChainType`` validates."""
+
+    def canon(node):
+        dim, children = node
+        return (dim, tuple(sorted((canon(c) for c in children), reverse=True)))
+
+    return ChainType(m, canon(root))
+
+
+def level_counts(chain):
+    """Component counts per level of a chain tree, coarsest first."""
+    counts, level = [], list(chain.root[1])
+    while level:
+        counts.append(len(level))
+        level = [c for _, children in level for c in children]
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,8 @@ def test_criterion_4_subquotient_vanishing():
     for (k, l, m) in cases:
         cutoff = None if l == 1 else 16
         verdict = subquotient_rational_check(k, l, m, cutoff=cutoff)
-        assert verdict.verified, (k, l, m, verdict.counterexamples())
+        failed = [e.mismatches for e in verdict.cube.edges if not e.ok]
+        assert verdict.verified, (k, l, m, failed, verdict.cube.signed_sum.pretty())
     elapsed = time.time() - start
     assert elapsed < 600
     report_line(

@@ -4,7 +4,12 @@ import itertools
 
 import pytest
 
-from oracles import flag_poincare_oracle, full_ring_minimal_generators, verify_d_squared
+from oracles import (
+    flag_poincare_oracle,
+    full_exterior_basis,
+    full_ring_minimal_generators,
+    verify_d_squared,
+)
 from rankfilt.cache import memo
 from rankfilt.cartan import (
     EngineMismatch,
@@ -153,7 +158,7 @@ def test_engine_agreement_sample():
 def test_dispatcher_routes_and_checks():
     flag = OrbitDescriptor(3, (Block(2), Block(1)), 0)
     p = poincare(flag)
-    assert p.is_exact() and p == flag_poincare_oracle((2, 1))
+    assert p.truncation is None and p == flag_poincare_oracle((2, 1))
     # explicit cutoff in auto mode runs the dual-engine comparison
     assert poincare(flag, cutoff=10) == p
     stiefel = OrbitDescriptor(2, (), 1)
@@ -176,10 +181,14 @@ def test_dispatcher_mismatch_raises(monkeypatch):
     cartan_mod.memo.clear()
 
 
-def test_resource_limit_reports_degree():
+def test_resource_limit_reports_degree(monkeypatch):
+    import rankfilt.cartan as cartan_mod
+
     d = OrbitDescriptor(4, (Block(1), Block(1), Block(1), Block(1)), 0)
+    memo.clear()
+    monkeypatch.setattr(cartan_mod, "BASIS_BUDGET", 3)
     with pytest.raises(ResourceLimit) as exc:
-        cartan_cohomology(d, 12, basis_budget=3)
+        cartan_cohomology(d, 12)
     assert exc.value.degree >= 0
     assert exc.value.budget == 3
 
@@ -370,7 +379,8 @@ def test_duality_route_matches_every_degree():
         full = KoszulComplex(d).cohomology_dims(n + 3)
         assert full[n] == 1 and full[n + 1:] == [0, 0, 0], text
         exact = cartan_cohomology(d)
-        assert exact.is_exact() and exact.agrees(Poly(dict(enumerate(full)), n + 3)), text
+        assert exact.truncation is None, text
+        assert exact.agrees(Poly(dict(enumerate(full)), n + 3)), text
         for cutoff in (n // 2, n, n + 3):
             got = cartan_cohomology(d, cutoff)
             assert got.truncation == cutoff, text
@@ -402,10 +412,22 @@ def test_finite_part_route_matches_invariant_koszul():
     assert parse_descriptor("U(5)/S2wr(1,2)xU(0)") in seen
     for d, text in seen.items():
         exact = cartan_cohomology(d)
-        assert exact.is_exact(), text
+        assert exact.truncation is None, text
         through = min(real_dimension(d), 16)
         full = KoszulComplex(d).cohomology_dims(through)
         assert [exact[i] for i in range(through + 1)] == full, text
+
+
+def test_bounded_exterior_basis_matches_all_subsets():
+    # the subsets of y_1..y_k that fit in the degree, in the full order
+    sample = list(_connected_descriptors(5, 24).values()) + list(_with_finite_part())
+    for d in sample:
+        kc = KoszulComplex(d)
+        for degree in range(11):
+            for invariants in (True, False):
+                assert kc.basis(degree, invariants) == full_exterior_basis(
+                    kc, degree, invariants
+                ), (d.canonical_string(), degree, invariants)
 
 
 def test_one_memo_entry_per_descriptor():
@@ -480,7 +502,7 @@ def test_first_stage_closed_form_through_the_dimension():
                 Poly({0: 1, 2 * i - 1: 1}) for i in range(k - l + 2, k + 1)
             )
             got = poincare(d)
-            assert got.is_exact() and got == closed, (k, l)
+            assert got.truncation is None and got == closed, (k, l)
 
 
 def test_negative_cutoff_is_a_contract_violation():

