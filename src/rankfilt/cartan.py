@@ -224,10 +224,9 @@ def _swap(mono, a, w):
 
 
 class KoszulComplex:
-    """The Cartan model of U(k)/H for a canonical orbit descriptor."""
+    """The Cartan model of U(k)/H for an orbit descriptor."""
 
-    def __init__(self, descriptor):
-        d = descriptor.canonicalize()
+    def __init__(self, d):
         self.descriptor = d
         self.k = d.k
 
@@ -429,7 +428,7 @@ class KoszulComplex:
         )
 
 
-def cartan_cohomology(descriptor, cutoff=None):
+def cartan_cohomology(d, cutoff=None):
     """Poincare polynomial of U(k)/H from the Cartan model.
 
     Exact (``truncation=None``), computed once per descriptor and memoized;
@@ -437,7 +436,6 @@ def cartan_cohomology(descriptor, cutoff=None):
     """
     if cutoff is not None and cutoff < 0:
         raise ContractViolation("the cutoff must be >= 0, got %d" % cutoff)
-    d = descriptor.canonicalize()
     got = memo.get_or_compute(("cartan", d), lambda: _cartan(d))
     return got if cutoff is None else got.truncate(cutoff)
 
@@ -462,8 +460,8 @@ def check_invariants(d, p):
     with connected isotropy U(k)/H is a closed orientable manifold, so the
     top degree is n and ``p`` is palindromic; and the Euler characteristic
     p(-1) is k! / (prod a_b! * c! * |G|) when rank H_0 = k, else 0.  The
-    isotropy is connected when no top-level unit is a ``Wreath``: canonical
-    units are flattened, so a ``Bunch`` and any deeper wreath sit inside one.
+    isotropy is connected when its finite part G = H / H_0 is trivial,
+    |G| = 1, which holds for every spelling of ``d``, canonical or not.
     """
     n = real_dimension(d)
 
@@ -476,14 +474,13 @@ def check_invariants(d, p):
         fail("a negative Betti number")
     if p.degree() > n:
         fail("cohomology above the dimension %d" % n)
-    if not any(isinstance(u, Wreath) for u in d.units) and (
-        p.degree() != n or not p.is_palindromic()
-    ):
+    order = finite_part_order(d)
+    if order == 1 and (p.degree() != n or not p.is_palindromic()):
         fail("Poincare duality fails")
     sizes = [b.size for b in d.blocks()] + [d.complement]
     euler = 0
     if sum(sizes) == d.k:
-        euler = Fraction(math.factorial(d.k), finite_part_order(d) * math.prod(
+        euler = Fraction(math.factorial(d.k), order * math.prod(
             math.factorial(a) for a in sizes))
     chi = sum(c if deg % 2 == 0 else -c for deg, c in p.coeffs.items())
     if chi != euler:
@@ -491,7 +488,7 @@ def check_invariants(d, p):
     return p
 
 
-def poincare(descriptor, cutoff=None, engine="auto"):
+def poincare(d, cutoff=None, engine="auto"):
     """Poincare polynomial dispatcher.
 
     Torus-commensurable descriptors go to the Molien engine and come back
@@ -506,7 +503,6 @@ def poincare(descriptor, cutoff=None, engine="auto"):
         raise ValueError("unknown engine %r" % (engine,))
     if cutoff is not None and cutoff < 0:
         raise ContractViolation("the cutoff must be >= 0, got %d" % cutoff)
-    d = descriptor.canonicalize()
     if engine == "molien" or (engine == "auto" and d.is_torus_commensurable()):
         compare = engine == "auto" and cutoff is not None
         q = cartan_cohomology(d) if compare else None

@@ -20,11 +20,12 @@ union of unitary orbits, one per chain type, and is recorded as the list of
 (chain type, isotropy descriptor, Poincare polynomial).  The verification
 that the total cofiber of the cube is rationally trivial proceeds by the
 direction-m edge pairing: appending the full line decomposition below the
-finest level matches chain types of X(U + {m}) with those of X(U), the
-appended isotropy is a finite extension of the maximal torus of the base
-isotropy, and matched vertices must have equal Poincare polynomials.  The
-signed sum over all vertices is then zero for free, but is checked anyway
-as an independent Euler-level consistency test.
+finest level must be a bijection from the chain types of X(U) to those of
+X(U + {m}), checked directly: injective (no two base types append to the
+same tree), into (every appended tree is an extended type) and onto (every
+extended type is hit); and each matched pair must have equal Poincare
+polynomials.  The signed sum over all vertices is then zero for free, but
+is checked anyway as an independent Euler-level consistency test.
 
 For general (k, l) the vertex orbits are U(k)/(H (x) I_l x U(k - l*m)) with
 H the plain chain isotropy.  The edge equalities in that generality are an
@@ -35,7 +36,7 @@ finding, never auto-corrected.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import cartan
 from .combinat import ContractViolation, is_prime_power, partitions_into
@@ -138,10 +139,6 @@ class ChainType:
             raise ContractViolation("root dimension differs from ambient dimension")
         _check_levels(self.root)
 
-    def leaves(self):
-        *_, finest = _levels(self.root)
-        return [dim for dim, _ in finest]
-
 
 def _append_lines(node):
     """Refine the finest level of a chain tree by the full line decomposition."""
@@ -151,23 +148,6 @@ def _append_lines(node):
     return _canonical_node(dim, tuple(_append_lines(c) for c in children))
 
 
-def _strip_finest(node, depth):
-    """Remove the finest level of a tree with ``depth`` levels below the root;
-    inverse to ``_append_lines`` when that level is lines."""
-    dim, children = node
-    if depth == 1:
-        return (dim, ())
-    return _canonical_node(dim, tuple(_strip_finest(c, depth - 1) for c in children))
-
-
-def _levels(root):
-    """Node lists of the tree's levels, from the root down to the leaves."""
-    level = [root]
-    while level:
-        yield level
-        level = [c for _, children in level for c in children]
-
-
 def _check_levels(root):
     """Validate a chain tree in one walk over its levels.
 
@@ -175,8 +155,8 @@ def _check_levels(root):
     its own canonical form.  Every leaf must sit on the finest level, so
     that each level is one decomposition with the level's count of parts.
     """
-    prev = 0
-    for level in _levels(root):
+    prev, level = 0, [root]
+    while level:
         if len(level) <= prev:
             raise ContractViolation("component counts must strictly increase downward")
         prev = len(level)
@@ -188,6 +168,7 @@ def _check_levels(root):
                 raise ContractViolation("chain tree is not in canonical form")
             if kids and sum(c[0] for c in kids) != dim:
                 raise ContractViolation("children dimensions do not sum to the node dimension")
+        level = [c for _, kids in level for c in kids]
 
 
 def _node_unit(node, l):
@@ -299,7 +280,7 @@ class EdgeVerdict:
     subset: tuple  # the base U not containing m
     matched: bool  # chain types biject structurally
     equal: bool  # matched polynomials agree
-    mismatches: tuple = field(default=())  # chain-type strings with details
+    mismatches: tuple  # chain-type strings with details
 
     @property
     def ok(self):
@@ -322,13 +303,6 @@ class CubeReport:
         if self.m == 1:
             return True
         return all(e.ok for e in self.edges) and self.signed_sum_zero
-
-    def vertex(self, subset):
-        subset = tuple(sorted(subset))
-        for v in self.vertices:
-            if v.subset == subset:
-                return v
-        raise KeyError(subset)
 
     def to_json(self):
         return {
@@ -382,6 +356,34 @@ def _subsets(elements):
     return sorted(out, key=lambda s: (len(s), s))
 
 
+def _edge(subset, base_chains, extended_chains):
+    """The direction-m edge at U = ``subset``: appending the line
+    decomposition must be a bijection from the chain types of X(U) onto
+    those of X(U + {m}) that keeps the Poincare polynomial."""
+    # pairing on raw roots: an enumerated root has already been validated
+    extended = {c.root: p for c, _, p in extended_chains}
+    hit = {}
+    equal = True
+    mismatches = []
+    for c, _, p in base_chains:
+        ext = _append_lines(c.root)
+        if ext in hit:
+            mismatches.append("%s and %s both append to %s" % (
+                _tree_string(hit[ext]), _tree_string(c.root), _tree_string(ext)))
+        hit[ext] = c.root
+        q = extended.get(ext)
+        if q is None:
+            mismatches.append("no partner for %s" % _tree_string(ext))
+        elif not p.agrees(q):
+            equal = False
+            mismatches.append("P(%s) = %s but P(%s) = %s" % (
+                _tree_string(c.root), p.pretty(), _tree_string(ext), q.pretty()))
+    mismatches.extend(
+        "unmatched extended type %s" % _tree_string(t) for t in extended if t not in hit)
+    matched = len(hit) == len(base_chains) and hit.keys() == extended.keys()
+    return EdgeVerdict(subset, matched, equal, tuple(mismatches))
+
+
 def cube_report(m, l=1, k=None, cutoff=None):
     """Build and verify the cube of chain spaces for C^m, generalized by (k, l).
 
@@ -410,48 +412,14 @@ def cube_report(m, l=1, k=None, cutoff=None):
             total = total + p
         vertices[subset] = CubeVertex(subset, tuple(chains), total)
 
-    edges = []
-    for subset in _subsets(range(2, m)) if m > 1 else []:
-        base = vertices[subset]
-        extended = vertices[tuple(sorted(subset + (m,)))]
-        # pairing on raw roots: a root found here equals an enumerated tree,
-        # which its ChainType has already validated
-        by_type = {c.root: (c, p) for c, _, p in extended.chains}
-        depth = len(subset) + 1
-        matched = True
-        equal = True
-        mismatches = []
-        appended = set()
-        for c, _, p in base.chains:
-            ext = _append_lines(c.root)
-            appended.add(ext)
-            found = by_type.get(ext)
-            if found is None:
-                matched = False
-                mismatches.append("no partner for %s" % _tree_string(ext))
-                continue
-            partner, q = found
-            if any(d != 1 for d in partner.leaves()):
-                raise AssertionError("extended chain is not a torus extension")
-            if _strip_finest(ext, depth) != c.root:
-                matched = False
-                mismatches.append("strip/append mismatch at %s" % _tree_string(c.root))
-            if not p.agrees(q):
-                equal = False
-                mismatches.append(
-                    "P(%s) = %s but P(%s) = %s"
-                    % (_tree_string(c.root), p.pretty(), _tree_string(ext), q.pretty())
-                )
-        if appended != set(by_type):
-            matched = False
-            extra = [t for t in by_type if t not in appended]
-            mismatches.extend("unmatched extended type %s" % _tree_string(t) for t in extra)
-        edges.append(EdgeVerdict(subset, matched, equal, tuple(mismatches)))
+    edges = tuple(
+        _edge(subset, vertices[subset].chains, vertices[subset + (m,)].chains)
+        for subset in (_subsets(range(2, m)) if m > 1 else [])
+    )
 
     signed = Poly.zero()
     for subset, v in vertices.items():
-        term = v.poincare
-        signed = signed + (term if len(subset) % 2 == 0 else -term)
+        signed = signed + (v.poincare if len(subset) % 2 == 0 else -v.poincare)
     zero = (not signed.coeffs) if m > 1 else False
 
     return CubeReport(
@@ -459,8 +427,9 @@ def cube_report(m, l=1, k=None, cutoff=None):
         l=l,
         k=k,
         cutoff=cutoff,
-        vertices=tuple(vertices[s] for s in sorted(vertices, key=lambda s: (len(s), s))),
-        edges=tuple(edges),
+        vertices=tuple(vertices.values()),
+        edges=edges,
         signed_sum=signed,
         signed_sum_zero=zero,
     )
+

@@ -26,9 +26,10 @@ Grading convention, fixed globally: one power of q is cohomological degree 2
 
 Descriptor grammar (round-trip parsed, used as cache key and CLI argument)::
 
-    descriptor := 'U(' k ')/' factor ('x' factor)*
+    descriptor := 'U(' k ')/' body
+    body       := 'e'                 trivial isotropy, alone
+                | factor ('x' factor)*
     factor     := 'U(' c ')'          complement with a full unitary group
-                | 'e'                 trivial isotropy marker
                 | unit
     unit       := '(' a [',' l] ')'   single block, l defaults to 1
                 | 'S' g 'wr' unit     g identical copies permuted by Sym(g)
@@ -252,6 +253,10 @@ def parse_descriptor(text):
     k = sc.integer()
     sc.expect(")")
     sc.expect("/")
+    if sc.take("e"):
+        if not sc.done():
+            raise DescriptorError("the trivial isotropy 'e' must stand alone in %r" % sc.text)
+        return OrbitDescriptor(k)
     units, complement = _parse_factors(sc, bracket=False)
     if not sc.done():
         raise DescriptorError("trailing input at position %d in %r" % (sc.pos, sc.text))
@@ -268,7 +273,6 @@ def _parse_factors(sc, bracket):
     units = []
     complement = None
     pending = None  # (unit, copies) awaiting a possible S<g> upgrade
-    explicit_trivial = False
 
     def flush():
         nonlocal pending
@@ -304,10 +308,6 @@ def _parse_factors(sc, bracket):
                 raise DescriptorError("more than one complement factor")
             complement = c
             continue
-        if sc.take("e"):
-            flush()
-            explicit_trivial = True
-            continue
         if sc.peek().isdigit():
             n = sc.integer()
             sc.expect("x")
@@ -334,8 +334,8 @@ def _parse_factors(sc, bracket):
         flush()
         units.append(_parse_unit(sc))
     flush()
-    if explicit_trivial and complement is None:
-        complement = 0
+    if not units and complement is None:
+        raise DescriptorError("expected a factor before position %d in %r" % (sc.pos, sc.text))
     return units, complement
 
 
@@ -519,7 +519,6 @@ def molien_poincare(d):
     Weyl-level group and regrades q -> t^2.  The result is exact; the
     dispatcher ``cartan.poincare`` runs the invariant checks on it.
     """
-    d = d.canonicalize()
     z = descriptor_cycle_index(d)
     num = prod(Poly.one_minus(i) for i in range(1, d.k + 1))
     acc = Poly.zero()

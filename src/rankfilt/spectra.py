@@ -57,31 +57,18 @@ def first_stage_descriptor(k, l):
     return OrbitDescriptor(k, (Block(1, l),), k - l).canonicalize()
 
 
-@dataclass(frozen=True)
-class SubquotientVerdict:
-    k: int
-    l: int
-    m: int
-    verified: bool
-    cube: decomp.CubeReport
-
-    @property
-    def verdict(self):
-        return "rationally trivial" if self.verified else "verification FAILED"
-
-
 def subquotient_rational_check(k, l, m, cutoff=None):
     """Verify rational triviality of the stage-m subquotient of the (k, l) spectrum.
 
     Runs the generalized cube over C^m, whose vertex isotropy comes from
     ``decomp.stabilizer(chain, l, k)``: every leaf block carries tensor
-    multiplicity l and a complement U(k - l*m) is added.  A failed edge or
-    signed sum lands in the verdict's cube report, it is not raised.
+    multiplicity l and a complement U(k - l*m) is added.  Returns that
+    ``decomp.CubeReport``: a failed edge or signed sum lands in it, it is
+    not raised, and its ``verified`` is the stage verdict.
     """
     if not 2 <= m <= k // l:
         raise ContractViolation("need 2 <= m <= floor(k/l)")
-    cube = decomp.cube_report(m, l, k, cutoff=cutoff)
-    return SubquotientVerdict(k, l, m, cube.verified, cube)
+    return decomp.cube_report(m, l, k, cutoff=cutoff)
 
 
 def pi0_check(k, l):
@@ -267,8 +254,9 @@ def small_range_report(k, l, cutoff=None):
         if m > M_MAX:
             stages.append(StageReport(m, is_prime_power(m), "skipped (beyond M_max)", Poly.zero()))
             continue
-        verdict = subquotient_rational_check(k, l, m, cutoff=cutoff)
-        stages.append(StageReport(m, is_prime_power(m), verdict.verdict, Poly.zero()))
+        verified = subquotient_rational_check(k, l, m, cutoff=cutoff).verified
+        verdict = "rationally trivial" if verified else "verification FAILED"
+        stages.append(StageReport(m, is_prime_power(m), verdict, Poly.zero()))
     endo = first if k == l else None
     return FiltrationReport(
         k=k,

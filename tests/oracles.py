@@ -28,9 +28,11 @@ that shares no code with the engine it checks:
   engine ranks nothing here: it takes rho_1..rho_r as the minimal
   generators by the theorem in the ``cartan`` module docstring, which this
   oracle checks.
-* ``canonical_chain_type`` and ``level_counts`` build a ``ChainType`` from
-  an unsorted tree and read its component counts per level, for the tests
-  of the chain-tree validation in ``decomp``.
+* ``canonical_chain_type``, ``level_counts`` and ``leaves`` build a
+  ``ChainType`` from an unsorted tree and read its component counts per
+  level and its leaf dimensions, for the tests of the chain-tree validation
+  and the edge pairing in ``decomp``; ``vertex`` looks a cube vertex up by
+  its subset.
 * ``PointedMap``, ``pushforward``, ``compose_rank`` and ``compose_indices``
   spell out the functoriality of the index calculus (maps of pointed sets
   push multiplicities forward; composition multiplies ranks).  They are the
@@ -194,6 +196,21 @@ def level_counts(chain):
         counts.append(len(level))
         level = [c for _, children in level for c in children]
     return counts
+
+
+def leaves(chain):
+    """Dimensions of the leaves of a chain tree, which all sit on its finest
+    level, in tree order."""
+    level = [chain.root]
+    while level[0][1]:
+        level = [c for _, children in level for c in children]
+    return [dim for dim, _ in level]
+
+
+def vertex(report, subset):
+    """The vertex of a ``decomp.CubeReport`` at ``subset``, in any order."""
+    subset = tuple(sorted(subset))
+    return next(v for v in report.vertices if v.subset == subset)
 
 
 # ---------------------------------------------------------------------------

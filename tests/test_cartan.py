@@ -17,6 +17,7 @@ from rankfilt.cartan import (
     KoszulComplex,
     ResourceLimit,
     cartan_cohomology,
+    check_invariants,
     poincare,
 )
 from rankfilt.combinat import ContractViolation
@@ -524,6 +525,17 @@ def test_degree_zero_must_be_one(monkeypatch):
         with pytest.raises(InvariantViolation, match="b_0 = 2"):
             cartan_cohomology(parse_descriptor(text), 6)
     memo.clear()
+
+
+def test_invariants_take_connectedness_from_the_finite_part():
+    # a wreath inside a one-unit bunch: disconnected isotropy, though no
+    # top-level unit is a Wreath until canonicalize flattens the bunch
+    d = OrbitDescriptor(3, (Bunch((Wreath(Block(1), 2),)),), 1)
+    assert d.canonicalize().canonical_string() == "U(3)/S2wr(1)xU(1)"
+    p = Poly({0: 1, 2: 1, 4: 1})
+    assert poincare(d.canonicalize()) == p
+    assert check_invariants(d, p) == p
+    assert poincare(d) == p
 
 
 def test_complex_is_freed_without_the_cycle_collector(monkeypatch):

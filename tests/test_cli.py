@@ -64,6 +64,18 @@ def test_poincare_bad_descriptor(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("text", ["U(3)/", "U(3)/x", "U(3)/[]"])
+def test_descriptor_needs_a_factor(capsys, text):
+    code, out, err = run(capsys, "poincare", text)
+    assert code == 2 and out == "" and "expected a factor" in err
+
+
+@pytest.mark.parametrize("text", ["U(3)/e(1)", "U(3)/ex(1)xU(2)"])
+def test_trivial_isotropy_marker_stands_alone(capsys, text):
+    code, out, err = run(capsys, "poincare", text)
+    assert code == 2 and out == "" and "must stand alone" in err
+
+
 def test_poincare_engine_mismatch_exit_code(capsys, monkeypatch):
     from rankfilt import cartan
     from rankfilt.poly import Poly

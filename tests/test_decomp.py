@@ -6,8 +6,8 @@ from itertools import combinations
 
 import pytest
 
-from oracles import canonical_chain_type, level_counts
-from rankfilt import decomp
+from oracles import canonical_chain_type, leaves, level_counts, vertex
+from rankfilt import cartan, decomp
 from rankfilt.cache import memo
 from rankfilt.combinat import ContractViolation
 from rankfilt.decomp import (
@@ -18,7 +18,6 @@ from rankfilt.decomp import (
     enumerate_chain_types,
     enumerate_decomposition_types,
     _append_lines,
-    _strip_finest,
     _tree_string,
     stabilizer,
 )
@@ -130,29 +129,29 @@ def test_chain_canonical_idempotence():
 def test_chain_level_counts_and_leaves():
     c = list(enumerate_chain_types(3, {2, 3}))[0]
     assert level_counts(c) == [2, 3]
-    assert sorted(c.leaves()) == [1, 1, 1]
+    assert sorted(leaves(c)) == [1, 1, 1]
     empty = list(enumerate_chain_types(3, ()))[0]
     assert level_counts(empty) == []
-    assert empty.leaves() == [3]
+    assert leaves(empty) == [3]
 
-    def walk(node, depth, counts, leaves):
+    def walk(node, depth, counts, found):
         dim, children = node
         if not children:
-            leaves.append(dim)
+            found.append(dim)
         for child in children:
             if len(counts) == depth:
                 counts.append(0)
             counts[depth] += 1
-            walk(child, depth + 1, counts, leaves)
+            walk(child, depth + 1, counts, found)
 
     for m in range(1, 7):
         for size in range(m):
             for subset in combinations(range(2, m + 1), size):
                 for c in enumerate_chain_types(m, subset):
-                    counts, leaves = [], []
-                    walk(c.root, 0, counts, leaves)
+                    counts, found = [], []
+                    walk(c.root, 0, counts, found)
                     assert level_counts(c) == counts == list(subset)
-                    assert c.leaves() == leaves
+                    assert leaves(c) == found
 
 
 def test_shared_sub_forests_match_fresh_enumeration():
@@ -167,15 +166,19 @@ def test_shared_sub_forests_match_fresh_enumeration():
 
 def test_append_and_strip_are_inverse():
     # appending applies to chains whose finest level is coarser than lines,
-    # i.e. to vertices whose subset does not contain m
-    for m in (2, 3, 4):
-        for u in [(), (2,), (3,)]:
-            subset = {x for x in u if 2 <= x < m}
-            for c in enumerate_chain_types(m, subset):
-                ext = ChainType(m, _append_lines(c.root))
-                assert level_counts(ext) == level_counts(c) + [m]
-                assert all(d == 1 for d in ext.leaves())
-                assert _strip_finest(ext.root, len(level_counts(ext))) == c.root
+    # i.e. to vertices whose subset does not contain m; it is injective on
+    # every such vertex, so stripping the lines again recovers the chain
+    for m in (2, 3, 4, 5, 6):
+        for size in range(m - 1):
+            for subset in combinations(range(2, m), size):
+                chains = enumerate_chain_types(m, subset)
+                appended = set()
+                for c in chains:
+                    ext = ChainType(m, _append_lines(c.root))
+                    assert level_counts(ext) == level_counts(c) + [m]
+                    assert all(d == 1 for d in leaves(ext))
+                    appended.add(ext.root)
+                assert len(appended) == len(chains), (m, subset)
 
 
 def test_chain_type_validation():
@@ -247,18 +250,18 @@ def test_cube_m1_is_a_sphere():
 def test_cube_m2():
     r = cube_report(2)
     assert r.verified
-    assert r.vertex(()).poincare == Poly({0: 1})
-    assert r.vertex((2,)).poincare == Poly({0: 1})
+    assert vertex(r, ()).poincare == Poly({0: 1})
+    assert vertex(r, (2,)).poincare == Poly({0: 1})
     assert r.signed_sum == Poly.zero() and r.signed_sum_zero
 
 
 def test_cube_m3_square():
     r = cube_report(3)
     assert r.verified
-    assert r.vertex(()).poincare == Poly({0: 1})
-    assert r.vertex((2,)).poincare == Poly({0: 1, 2: 1, 4: 1})
-    assert r.vertex((3,)).poincare == Poly({0: 1})
-    assert r.vertex((2, 3)).poincare == Poly({0: 1, 2: 1, 4: 1})
+    assert vertex(r, ()).poincare == Poly({0: 1})
+    assert vertex(r, (2,)).poincare == Poly({0: 1, 2: 1, 4: 1})
+    assert vertex(r, (3,)).poincare == Poly({0: 1})
+    assert vertex(r, (2, 3)).poincare == Poly({0: 1, 2: 1, 4: 1})
     # isotropy groups of the square
     stabs = {v.subset: [d.canonical_string() for _, d, _ in v.chains] for v in r.vertices}
     assert stabs[(2,)] == ["U(3)/(1)x(2)"]
@@ -330,6 +333,42 @@ def test_missing_extended_chain_is_reported_not_raised(monkeypatch):
     base = r.edges[0]
     assert base.subset == () and not base.matched
     assert base.mismatches == ("no partner for 3[1,1,1]",)
+
+
+def test_two_chains_appending_to_one_tree_are_reported_not_raised(monkeypatch):
+    append = decomp._append_lines
+    base = enumerate_chain_types(4, (2,))
+    assert _tree_string(base[0].root) == "4[2,2]" and _tree_string(base[1].root) == "4[3,1]"
+    collide = append(base[0].root)
+    roots = {c.root for c in base}
+    monkeypatch.setattr(
+        decomp, "_append_lines", lambda node: collide if node in roots else append(node)
+    )
+    r = cube_report(4)
+    assert not r.verified
+    edge = next(e for e in r.edges if e.subset == (2,))
+    assert not edge.matched
+    assert edge.mismatches[0] == "4[2,2] and 4[3,1] both append to 4[2[1,1],2[1,1]]"
+    assert "unmatched extended type 4[3[1,1,1],1[1]]" in edge.mismatches
+    assert all(e.ok for e in r.edges if e.subset != (2,))
+
+
+def test_unequal_matched_polynomials_are_reported_not_raised(monkeypatch):
+    real = cartan.poincare
+    point = stabilizer(enumerate_chain_types(3, ())[0])
+    bump = Poly({0: 1, 2: 1})
+
+    def perturbed(d, cutoff=None):
+        return bump if d == point else real(d, cutoff=cutoff)
+
+    monkeypatch.setattr(cartan, "poincare", perturbed)
+    r = cube_report(3)
+    assert not r.verified
+    edge = r.edges[0]
+    assert edge.subset == () and edge.matched and not edge.equal
+    message = "P(3) = %s but P(3[1,1,1]) = %s" % (bump.pretty(), Poly.one().pretty())
+    assert edge.mismatches == (message,)
+    assert all(e.ok for e in r.edges[1:])
 
 
 def test_cube_report_flags_bad_input():

@@ -69,9 +69,11 @@ def test_first_stage_degree_zero_grid():
 
 def test_subquotient_checks():
     for (k, l, m) in [(2, 1, 2), (4, 2, 2), (3, 1, 3)]:
-        v = subquotient_rational_check(k, l, m, cutoff=10)
-        assert v.verified and v.verdict == "rationally trivial"
-        assert v.cube.signed_sum_zero and all(e.ok for e in v.cube.edges)
+        cube = subquotient_rational_check(k, l, m, cutoff=10)
+        assert cube.verified and (cube.m, cube.l, cube.k) == (m, l, k)
+        assert cube.signed_sum_zero and all(e.ok for e in cube.edges)
+        stage = small_range_report(k, l, cutoff=10).stages[m - 1]
+        assert stage.m == m and stage.verdict == "rationally trivial"
     with pytest.raises(ContractViolation):
         subquotient_rational_check(3, 2, 2)  # 2*2 > 3
 
