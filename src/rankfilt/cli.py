@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -285,7 +286,10 @@ def cmd_ku_series(args):
 # argument parsing
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared by every
+    later one in the process; parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="rankfilt",
         description="Exact invariants of the rank filtration of matrix mapping spectra.",

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 from . import cartan
 from .combinat import ContractViolation, is_prime_power, partitions_into
-from .orbitspace import Block, Bunch, OrbitDescriptor, Wreath
+from .orbitspace import Block, Bunch, OrbitDescriptor, Wreath, juxtapose
 from .poly import Poly
 
 
@@ -171,22 +171,28 @@ def _check_levels(root):
         level = [c for _, kids in level for c in kids]
 
 
-def _node_unit(node, l):
-    """Isotropy of a chain subtree: each leaf a block of tensor multiplicity
-    ``l``, each run of identical sibling subtrees permuted by a wreath.
+def _node_unit(node, l, units):
+    """Canonical isotropy unit of a chain subtree: each leaf a block of
+    tensor multiplicity ``l``, each run of identical sibling subtrees
+    permuted by a wreath, the classes juxtaposed.
 
-    Single classes and nested bunches are left for ``canonicalize`` to
-    flatten.
+    Children of a chain tree are canonical and sorted, so a node's unit is
+    built from its children's units, each stored once in ``units``.
     """
-    dim, children = node
-    if not children:
-        return Block(dim, l)
-    classes = []
-    for child, run in itertools.groupby(children):
-        copies = len(tuple(run))
-        inner = _node_unit(child, l)
-        classes.append(inner if copies == 1 else Wreath(inner, copies))
-    return Bunch(tuple(classes))
+    got = units.get(node)
+    if got is None:
+        dim, children = node
+        if not children:
+            got = Block(dim, l)
+        else:
+            classes = []
+            for child, run in itertools.groupby(children):
+                copies = len(tuple(run))
+                inner = _node_unit(child, l, units)
+                classes.append(inner if copies == 1 else Wreath(inner, copies))
+            got = juxtapose(classes)
+        units[node] = got
+    return got
 
 
 def enumerate_chain_types(m, subset, forests=None):
@@ -249,19 +255,23 @@ def _forests(dims, counts, memo):
     return memo[key]
 
 
-def stabilizer(chain, l=1, k=None):
+def stabilizer(chain, l=1, k=None, units=None):
     """Orbit descriptor of the isotropy of a chain, generalized by (k, l).
 
     The plain case (l = 1, k = m) yields U(m)/H with H the wreath-extended
     product of the leaf unitary groups.  In general each leaf block picks up
-    tensor multiplicity l and a full complement U(k - l*m) appears.
+    tensor multiplicity l and a full complement U(k - l*m) appears.  The
+    descriptor is canonical as built.  ``units`` is a dict of subtree units
+    for this ``l`` to share between calls over one cube, like ``forests``;
+    a fresh one is used when none is passed.
     """
     m = chain.m
     if k is None:
         k = m * l
     if l < 1 or k < l * m:
         raise ContractViolation("need l >= 1 and k >= l*m")
-    return OrbitDescriptor(k, (_node_unit(chain.root, l),), k - l * m).canonicalize()
+    unit = _node_unit(chain.root, l, {} if units is None else units)
+    return OrbitDescriptor(k, unit.units if isinstance(unit, Bunch) else (unit,), k - l * m)
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +411,12 @@ def cube_report(m, l=1, k=None, cutoff=None):
         raise ContractViolation("need l >= 1 and k >= l*m")
 
     vertices = {}
-    forests = {}
+    forests, units = {}, {}
     for subset in _subsets(range(2, m + 1)):
         chains = []
         total = Poly.zero()
         for c in enumerate_chain_types(m, subset, forests):
-            desc = stabilizer(c, l, k)
+            desc = stabilizer(c, l, k, units)
             p = cartan.poincare(desc, cutoff=cutoff)
             chains.append((c, desc, p))
             total = total + p

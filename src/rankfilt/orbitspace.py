@@ -17,9 +17,17 @@ dimensions of H*(U(k)/H; Q) are computed by a Molien average over the
 induced subgroup W of the symmetric group S_k: in each even degree 2d the
 dimension is the multiplicity of the trivial character in the degree-d part
 of the coinvariant algebra of S_k.  The average is taken over cycle types
-with class-size weights (a cycle index), never element by element.  The
-average is cross-checked in the tests against flag-manifold polynomials
-built from Gaussian binomials, a route that shares no code with this one.
+with class-size weights (a cycle index), never element by element, and in
+integers: the series 1/prod_{c in lambda} (1 - q^c) of each cycle type
+lambda is expanded through degree D = k(k-1)/2, the series are summed with
+weights scaled to integers by the lcm L of their denominators, multiplied
+by prod_{i<=k} (1 - q^i) and divided by L.  Each character
+prod_{i<=k} (1 - q^i) / prod_{c in lambda} (1 - q^c) is a polynomial of
+degree exactly D, because lambda sums to k, so truncating at D loses
+nothing.  The average is cross-checked in the tests against
+flag-manifold polynomials built from Gaussian binomials, and against an
+average of exact polynomial quotients with Fraction weights; neither route
+shares code with this one.
 
 Grading convention, fixed globally: one power of q is cohomological degree 2
 (complex cells), so all Poincare polynomials substitute q -> t^2.
@@ -53,7 +61,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinat import partitions_into
-from .poly import Poly, prod
+from .poly import Poly
 
 
 class DescriptorError(ValueError):
@@ -127,20 +135,25 @@ def _canonical_unit(u):
             return inner
         return Wreath(inner, u.copies)
     if isinstance(u, Bunch):
-        if len(u.units) == 1:
-            return _canonical_unit(u.units[0])
-        flat = []
-        for v in u.units:
-            cv = _canonical_unit(v)
-            if isinstance(cv, Bunch):
-                flat.extend(cv.units)
-            else:
-                flat.append(cv)
-        flat.sort(key=_unit_key)
-        if len(flat) == 1:
-            return flat[0]
-        return Bunch(tuple(flat))
+        return juxtapose([_canonical_unit(v) for v in u.units])
     raise DescriptorError("unknown unit %r" % (u,))
+
+
+def juxtapose(units):
+    """Canonical juxtaposition of canonical units: a lone unit stands for
+    itself, nested bunches are flattened, and the rest sorted by key."""
+    if len(units) == 1:
+        return units[0]
+    flat = []
+    for v in units:
+        if isinstance(v, Bunch):
+            flat.extend(v.units)
+        else:
+            flat.append(v)
+    flat.sort(key=_unit_key)
+    if len(flat) == 1:
+        return flat[0]
+    return Bunch(tuple(flat))
 
 
 @dataclass(frozen=True)
@@ -493,35 +506,38 @@ def finite_part_order(d):
 
 
 # ---------------------------------------------------------------------------
-# coinvariant characters and the Molien average
-
-
-def graded_char_coinv(cycle_type, k, numerator):
-    """Graded character of the S_k coinvariant algebra at a given cycle type.
-
-    Returns the polynomial ``numerator`` / prod_{c in type} (1 - q^c) in the
-    variable q, where ``numerator`` is prod_{i=1..k} (1 - q^i), built once
-    per Molien average by the caller; division is exact by construction and
-    any remainder is an error.  The identity type yields the q-factorial
-    [k]_q!.
-    """
-    cycle_type = tuple(sorted(cycle_type, reverse=True))
-    if sum(cycle_type) != k or any(c < 1 for c in cycle_type):
-        raise DescriptorError("%r is not a partition of %d" % (cycle_type, k))
-    den = prod(Poly.one_minus(c) for c in cycle_type)
-    return numerator.divide_exact(den).as_integer()
+# the Molien average
 
 
 def molien_poincare(d):
     """Poincare polynomial of U(k)/H for torus-commensurable isotropy H.
 
-    Averages the coinvariant-algebra characters over the cycle index of the
-    Weyl-level group and regrades q -> t^2.  The result is exact; the
-    dispatcher ``cartan.poincare`` runs the invariant checks on it.
+    The integer average of the module docstring: each series
+    1/prod_{c in lambda} (1 - q^c) takes one prefix-sum pass per part
+    through q^D, D = k(k-1)/2, and the weighted sum times
+    prod_{i<=k} (1 - q^i) is exact through q^D, where every character
+    ends.  A coefficient that L does not divide raises ArithmeticError.
+    The result is regraded q -> t^2; the dispatcher ``cartan.poincare``
+    runs the invariant checks on it.
     """
     z = descriptor_cycle_index(d)
-    num = prod(Poly.one_minus(i) for i in range(1, d.k + 1))
-    acc = Poly.zero()
+    top = d.k * (d.k - 1) // 2
+    scale = math.lcm(*(w.denominator for w in z.values()))
+    acc = [0] * (top + 1)
     for part, w in z.items():
-        acc = acc + graded_char_coinv(part, d.k, num) * w
-    return acc.as_integer().substitute_power(2)
+        series = [1] + [0] * top
+        for c in part:
+            for i in range(c, top + 1):
+                series[i] += series[i - c]
+        weight = w.numerator * (scale // w.denominator)
+        acc = [a + weight * s for a, s in zip(acc, series)]
+    for j in range(1, d.k + 1):
+        for i in range(top, j - 1, -1):
+            acc[i] -= acc[i - j]
+    coeffs = {}
+    for i, c in enumerate(acc):
+        if c % scale:
+            raise ArithmeticError(
+                "non-integral coefficient %s in degree %d" % (Fraction(c, scale), i))
+        coeffs[2 * i] = c // scale
+    return Poly(coeffs)

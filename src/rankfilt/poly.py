@@ -5,9 +5,6 @@ means the polynomial is known exactly in every degree; ``truncation=D``
 means coefficients are only known for degrees ``<= D`` (power-series mode).
 Coefficients are ints, or Fractions transiently while averaging; results
 that are meant to be Poincare polynomials must pass :func:`as_integer`.
-
-Division is exact over the integers and fails hard on a nonzero remainder;
-a remainder in a Molien average signals a bug, never a rounding problem.
 """
 
 from __future__ import annotations
@@ -147,43 +144,6 @@ class Poly:
             if self.coeffs.get(d, 0) != other.coeffs.get(d, 0):
                 return False
         return True
-
-    # -- exact division -----------------------------------------------
-
-    def divide_exact(self, divisor):
-        """Exact polynomial division; raises ArithmeticError on a remainder.
-
-        Both operands must be exact polynomials (no truncation).
-        """
-        divisor = _promote(divisor)
-        if self.truncation is not None or divisor.truncation is not None:
-            raise ValueError("exact division requires untruncated polynomials")
-        if not divisor.coeffs:
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = dict(self.coeffs)
-        dd = divisor.degree()
-        lead = divisor.coeffs[dd]
-        quot = {}
-        while rem:
-            rd = max(rem)
-            if rd < dd:
-                raise ArithmeticError("non-exact polynomial division (remainder of degree %d)" % rd)
-            c = rem[rd]
-            q = c / lead if isinstance(c, Fraction) or isinstance(lead, Fraction) else None
-            if q is None:
-                if c % lead != 0:
-                    q = Fraction(c, lead)
-                else:
-                    q = c // lead
-            quot[rd - dd] = q
-            for d2, c2 in divisor.coeffs.items():
-                nd = rd - dd + d2
-                nc = rem.get(nd, 0) - q * c2
-                if nc:
-                    rem[nd] = nc
-                else:
-                    rem.pop(nd, None)
-        return Poly(quot)
 
     # -- shape checks ---------------------------------------------------
 

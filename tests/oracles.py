@@ -9,6 +9,17 @@ that shares no code with the engine it checks:
   Poincare polynomials from the q-Pascal recursion.  The Molien engine
   averages coinvariant characters over a cycle index instead, so the two
   meet only in the answer.
+* ``molien_poincare_oracle`` averages by polynomial division: for each
+  cycle type it divides prod_{i<=k} (1 - q^i) by prod_{c in lambda} (1 - q^c)
+  with ``divide_exact`` (``graded_char_coinv``), then sums the quotients
+  as ``Poly`` objects with ``Fraction`` weights.  The engine expands
+  integer series truncated at degree k(k-1)/2 and divides once by the lcm
+  of the weight denominators, so the two share only the cycle index.
+* ``stabilizer_oracle`` builds the raw isotropy unit tree of a chain,
+  single classes and nested bunches included, and canonicalizes the whole
+  descriptor with ``OrbitDescriptor.canonicalize``.  ``decomp.stabilizer``
+  never canonicalizes: it builds each subtree's canonical unit once, from
+  its children's canonical units.
 * ``dense_rank_fractions`` is textbook Gaussian elimination over Fraction
   on a dense matrix, with the first nonzero entry of each column as pivot.
   ``linalg.sparse_rank`` is fraction-free integer elimination on sparse
@@ -52,7 +63,15 @@ from rankfilt.cartan import InvariantViolation
 from rankfilt.combinat import ContractViolation, IndexTuple
 from rankfilt.decomp import ChainType
 from rankfilt.linalg import sparse_rank
-from rankfilt.poly import Poly
+from rankfilt.orbitspace import (
+    Block,
+    Bunch,
+    DescriptorError,
+    OrbitDescriptor,
+    Wreath,
+    descriptor_cycle_index,
+)
+from rankfilt.poly import Poly, prod
 
 # ---------------------------------------------------------------------------
 # flag manifolds
@@ -87,6 +106,61 @@ def flag_poincare_oracle(composition):
         total += c
         acc = acc * gaussian_binomial(total, c)
     return acc.substitute_power(2)
+
+
+# ---------------------------------------------------------------------------
+# the Molien average by exact division
+
+
+def divide_exact(num, den):
+    """Exact division of untruncated polynomials; ArithmeticError on a
+    remainder."""
+    if num.truncation is not None or den.truncation is not None:
+        raise ValueError("exact division requires untruncated polynomials")
+    if not den.coeffs:
+        raise ZeroDivisionError("division by zero polynomial")
+    rem = dict(num.coeffs)
+    dd = den.degree()
+    lead = den.coeffs[dd]
+    quot = {}
+    while rem:
+        rd = max(rem)
+        if rd < dd:
+            raise ArithmeticError("non-exact polynomial division (remainder of degree %d)" % rd)
+        q = Fraction(rem[rd], lead)
+        if q.denominator == 1:
+            q = int(q)
+        quot[rd - dd] = q
+        for d2, c2 in den.coeffs.items():
+            nd = rd - dd + d2
+            nc = rem.get(nd, 0) - q * c2
+            if nc:
+                rem[nd] = nc
+            else:
+                rem.pop(nd, None)
+    return Poly(quot)
+
+
+def graded_char_coinv(cycle_type, k, numerator):
+    """Graded character of the S_k coinvariant algebra at a cycle type:
+    ``numerator`` / prod_{c in type} (1 - q^c), with ``numerator`` the
+    polynomial prod_{i=1..k} (1 - q^i).  The identity type yields the
+    q-factorial [k]_q!."""
+    cycle_type = tuple(sorted(cycle_type, reverse=True))
+    if sum(cycle_type) != k or any(c < 1 for c in cycle_type):
+        raise DescriptorError("%r is not a partition of %d" % (cycle_type, k))
+    den = prod(Poly.one_minus(c) for c in cycle_type)
+    return divide_exact(numerator, den).as_integer()
+
+
+def molien_poincare_oracle(d):
+    """The Molien average of ``d`` as a sum of characters with Fraction
+    weights, regraded q -> t^2."""
+    num = prod(Poly.one_minus(i) for i in range(1, d.k + 1))
+    acc = Poly.zero()
+    for part, w in descriptor_cycle_index(d).items():
+        acc = acc + graded_char_coinv(part, d.k, num) * w
+    return acc.as_integer().substitute_power(2)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +261,25 @@ def canonical_chain_type(m, root):
         return (dim, tuple(sorted((canon(c) for c in children), reverse=True)))
 
     return ChainType(m, canon(root))
+
+
+def stabilizer_oracle(chain, l=1, k=None):
+    """The descriptor of ``decomp.stabilizer`` from the raw unit tree of
+    ``chain``, canonicalized as a whole."""
+
+    def unit(node):
+        dim, children = node
+        if not children:
+            return Block(dim, l)
+        classes = []
+        for child, run in itertools.groupby(children):
+            copies = len(tuple(run))
+            classes.append(unit(child) if copies == 1 else Wreath(unit(child), copies))
+        return Bunch(tuple(classes))
+
+    if k is None:
+        k = chain.m * l
+    return OrbitDescriptor(k, (unit(chain.root),), k - l * chain.m).canonicalize()
 
 
 def level_counts(chain):

@@ -226,6 +226,39 @@ def test_ku_series_sample_ranks_are_checked(capsys):
     assert code == 2 and "ambient rank too small" in err
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
+    # a usage error, a valid query, then an append option given twice: each
+    # prints in one shared process what it prints in a fresh one
+    import subprocess
+    import sys
+
+    calls = [
+        ("poincare", "U(2)/(1)x(1)", "--engine", "bogus"),
+        ("poincare", "U(4)/(2)x(1)x(1)"),
+        ("ku-series", "1", "2", "--cutoff", "6", "--max-rank", "2",
+         "--sample-k", "6", "--sample-k", "8"),
+    ]
+    monkeypatch.delenv("RANKFILT_CACHE", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to this width
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert cli.build_parser() is cli.build_parser()
+    codes = []
+    for argv in calls:
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "rankfilt", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (code, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.append(code)
+    assert codes == [2, 0, 0]
+
+
 def test_cache_transparency_and_audit(capsys, tmp_path):
     cache = tmp_path / "cache.json"
     args = ("poincare", "U(4)/[2x(1,1)|S2]xU(2)")

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import canonical_chain_type, leaves, level_counts, vertex
+from oracles import canonical_chain_type, leaves, level_counts, stabilizer_oracle, vertex
 from rankfilt import cartan, decomp
 from rankfilt.cache import memo
 from rankfilt.combinat import ContractViolation
@@ -223,6 +223,16 @@ def test_stabilizer_is_unchanged_on_every_chain_type_up_to_m7():
                     n += 1
     assert n == 1175
     assert h.hexdigest() == "ddaca4cf9a931c2d73ff15fdd9f0b3758808f086"
+
+
+def test_shared_units_give_the_canonicalized_raw_tree():
+    # cube_report shares one dict of subtree units across a whole cube
+    for m, l, k in [(m, 1, m) for m in range(1, 8)] + [(3, 2, 8), (4, 2, 10)]:
+        memo.clear()
+        for v in cube_report(m, l, k).vertices:
+            for c, d, _ in v.chains:
+                assert d == stabilizer_oracle(c, l, k) == d.canonicalize(), _tree_string(c.root)
+    memo.clear()
 
 
 def test_stabilizer_connected_part_of_extended_chain_is_torus():

@@ -6,8 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import flag_poincare_oracle, gaussian_binomial
+from oracles import (
+    divide_exact,
+    flag_poincare_oracle,
+    gaussian_binomial,
+    graded_char_coinv,
+    molien_poincare_oracle,
+)
+from rankfilt.cache import memo
 from rankfilt.combinat import partitions_into
+from rankfilt.decomp import cube_report
 from rankfilt.orbitspace import (
     Block,
     Bunch,
@@ -16,7 +24,6 @@ from rankfilt.orbitspace import (
     OrbitDescriptor,
     Wreath,
     descriptor_cycle_index,
-    graded_char_coinv,
     molien_poincare,
     parse_descriptor,
     real_dimension,
@@ -88,7 +95,7 @@ def test_graded_char_with_a_shared_numerator():
                 for c in part:
                     den = den * Poly.one_minus(c)
                 char = graded_char_coinv(part, k, shared)
-                assert char == numerator(k).divide_exact(den)
+                assert char == divide_exact(numerator(k), den)
                 assert char * den == numerator(k)
         assert shared == numerator(k)
 
@@ -97,6 +104,25 @@ def test_graded_char_non_exact_division_raises():
     # (1 - q)(1 - q^2) is not divisible by 1 - q^3
     with pytest.raises(ArithmeticError, match="non-exact"):
         graded_char_coinv((3,), 3, numerator(2))
+
+
+def test_molien_matches_the_division_oracle():
+    # every flag with k <= 8, U(k)/S_k wr(1) for k <= 10, and every
+    # stabilizer of the plain cubes with m <= 7
+    found = [
+        OrbitDescriptor(k, tuple(Block(a) for a in part), 0).canonicalize()
+        for k in range(1, 9)
+        for r in range(1, k + 1)
+        for part in partitions_into(k, r)
+    ]
+    found += [parse_descriptor("U(%d)/S%dwr(1)" % (k, k)) for k in range(1, 11)]
+    for m in range(1, 8):
+        memo.clear()
+        found += [d for v in cube_report(m).vertices for _, d, _ in v.chains]
+    memo.clear()
+    assert len(set(found)) == 166
+    for d in set(found):
+        assert molien_poincare(d) == molien_poincare_oracle(d), d
 
 
 # -- cycle indices ------------------------------------------------------------
