@@ -143,6 +143,10 @@ def emit_csv(rows):
 
 def cmd_summands(args):
     k, l, t = args.k, args.l, args.t
+    if args.positive and args.subquotient is None:
+        raise ContractViolation("--positive applies only with --subquotient")
+    if args.max_rank is not None and args.subquotient is not None:
+        raise ContractViolation("--max-rank does not apply with --subquotient")
     if args.subquotient is not None:
         ss = combinat.subquotient_summands(k, l, t, args.subquotient, positive_only=args.positive)
         mode = "subquotient m=%d%s" % (args.subquotient, " (positive)" if args.positive else "")
@@ -301,11 +305,13 @@ def build_parser():
     p.add_argument("l", type=int)
     p.add_argument("t", type=int)
     p.add_argument("--max-rank", type=int, default=None, dest="max_rank")
-    p.add_argument("--subquotient", type=int, default=None, metavar="M")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--subquotient", type=int, default=None, metavar="M")
+    mode.add_argument("--latching", action="store_true")
     p.add_argument("--positive", action="store_true", help="all entries >= 1 (with --subquotient)")
-    p.add_argument("--latching", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true")
+    fmt.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_summands)
 
     p = sub.add_parser("poincare", help="Poincare polynomial of an orbit descriptor")
@@ -330,8 +336,9 @@ def build_parser():
     p.add_argument("k", type=int)
     p.add_argument("l", type=int)
     p.add_argument("--cutoff", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true")
+    fmt.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("ku-series", help="classifying-space limit series of a filtration stage")

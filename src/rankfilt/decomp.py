@@ -1,23 +1,22 @@
-"""Complexes of direct-sum decompositions: orbit types, chains, and the cube.
+"""Complexes of direct-sum decompositions: connectivity, chains, and the cube.
 
 A decomposition of C^m into pairwise orthogonal nonzero subspaces is
-recorded up to the unitary action by the multiset of its part dimensions
-(a DecompositionType); it is proper when it has at least two parts.  The
-complex of proper decompositions is connected exactly when its types are
-linked by merging two parts at a time: any coarsening is such a run of
-pair merges, and its intermediate types are proper.
+recorded up to the unitary action by the multiset of its part dimensions;
+it is proper when it has at least two parts.  The complex of proper
+decompositions is connected exactly when m >= 2 (see ``connectivity``).
 
-A chain of decompositions, each refining the next, is recorded by a nested
-tree (a ChainType): the root is C^m, the root's children are the parts of
+A chain of decompositions, each refining the next, is recorded by its
+canonical nested tree, a tuple ``(dim, children)`` with the children
+sorted descending (a leaf is ``(dim, ())``): the root is C^m, the root's children are the parts of
 the coarsest decomposition, and each level refines the one above, so part
 counts strictly increase downward.  Unary nodes are kept so that the tree
 levels match the prescribed component counts exactly, and every leaf sits
-on the finest level.
+on the finest level.  This tree is the chain type.
 
 For a subset U of {2, ..., m} the cube vertex X(U) is the space of chains
 whose level component counts are the elements of U; it is a finite disjoint
 union of unitary orbits, one per chain type, and is recorded as the list of
-(chain type, isotropy descriptor, Poincare polynomial).  The verification
+(chain tree, isotropy descriptor, Poincare polynomial).  The verification
 that the total cofiber of the cube is rationally trivial proceeds by the
 direction-m edge pairing: appending the full line decomposition below the
 finest level must be a bijection from the chain types of X(U) to those of
@@ -45,99 +44,32 @@ from .poly import Poly
 
 
 # ---------------------------------------------------------------------------
-# decomposition types
-
-
-@dataclass(frozen=True)
-class DecompositionType:
-    """Unordered multiset of part dimensions of a direct-sum decomposition."""
-
-    parts: tuple
-
-    def __post_init__(self):
-        if not self.parts or any(p < 1 for p in self.parts):
-            raise ContractViolation("parts must be positive")
-        if tuple(sorted(self.parts, reverse=True)) != self.parts:
-            raise ContractViolation("parts must be sorted descending")
-
-    @staticmethod
-    def of(parts):
-        return DecompositionType(tuple(sorted(parts, reverse=True)))
-
-    def merges(self):
-        """Proper types reached by merging two parts; none below three parts."""
-        ps = self.parts
-        if len(ps) < 3:
-            return set()
-        return {
-            DecompositionType.of(ps[:i] + ps[i + 1:j] + ps[j + 1:] + (ps[i] + ps[j],))
-            for i in range(len(ps))
-            for j in range(i + 1, len(ps))
-        }
-
-
-def enumerate_decomposition_types(m, parts):
-    """All decompositions of C^m with exactly ``parts`` components, up to orbit."""
-    if not 1 <= parts <= m:
-        raise ContractViolation("need 1 <= parts <= m")
-    return {DecompositionType(p) for p in partitions_into(m, parts)}
+# connectivity
 
 
 def connectivity(m):
-    """Path-connectivity of the complex of proper decompositions of C^m.
+    """Path-connectivity of the complex of proper decompositions of C^m:
+    True exactly when m >= 2.
 
-    The orbit-incidence graph has the proper types as vertices and an edge
-    whenever one type coarsens to another; since each orbit is a connected
-    homogeneous space, graph connectivity decides connectivity of the
-    complex.  The search follows pair merges only, which gives the same
-    components: a coarsening of v to a proper w is a run of pair merges
-    whose intermediate types have at least as many parts as w, so every
-    step stays proper.  For m = 1 the complex is empty (the suspension is
-    just the two-point sphere) and the answer is False.
+    Each orbit of decompositions is a connected homogeneous space, so the
+    complex is connected when its proper types are linked by coarsenings.
+    Every proper type coarsens the line decomposition (1, ..., 1) by a run
+    of pair merges, and each intermediate type has at least as many parts
+    as the target, so it is proper too: every proper type is linked to the
+    line decomposition.  For m = 1 there is no proper type and the complex
+    is empty (the suspension is just the two-point sphere).
     """
     if m < 1:
         raise ContractViolation("need m >= 1")
-    adjacent = {
-        v: set() for parts in range(2, m + 1) for v in enumerate_decomposition_types(m, parts)
-    }
-    for v in adjacent:
-        for w in v.merges():
-            adjacent[v].add(w)
-            adjacent[w].add(v)
-    if not adjacent:
-        return False
-    start = next(iter(adjacent))
-    seen = {start}
-    queue = [start]
-    while queue:
-        for w in adjacent[queue.pop()] - seen:
-            seen.add(w)
-            queue.append(w)
-    return len(seen) == len(adjacent)
+    return m >= 2
 
 
 # ---------------------------------------------------------------------------
 # chain types
 
-# A tree node is (dim, children) with children a tuple of nodes sorted
-# descending; a leaf is (dim, ()).
-
 
 def _canonical_node(dim, children):
     return (dim, tuple(sorted(children, reverse=True)))
-
-
-@dataclass(frozen=True)
-class ChainType:
-    """Canonical nested tree of a chain of decompositions of C^m."""
-
-    m: int
-    root: tuple
-
-    def __post_init__(self):
-        if self.root[0] != self.m:
-            raise ContractViolation("root dimension differs from ambient dimension")
-        _check_levels(self.root)
 
 
 def _append_lines(node):
@@ -146,29 +78,6 @@ def _append_lines(node):
     if not children:
         return (dim, tuple([(1, ())] * dim))
     return _canonical_node(dim, tuple(_append_lines(c) for c in children))
-
-
-def _check_levels(root):
-    """Validate a chain tree in one walk over its levels.
-
-    Children sorted descending at every node is the same as the tree being
-    its own canonical form.  Every leaf must sit on the finest level, so
-    that each level is one decomposition with the level's count of parts.
-    """
-    prev, level = 0, [root]
-    while level:
-        if len(level) <= prev:
-            raise ContractViolation("component counts must strictly increase downward")
-        prev = len(level)
-        leaves = sum(1 for _, kids in level if not kids)
-        if 0 < leaves < len(level):
-            raise ContractViolation("leaves must all sit on the finest level")
-        for dim, kids in level:
-            if kids != tuple(sorted(kids, reverse=True)):
-                raise ContractViolation("chain tree is not in canonical form")
-            if kids and sum(c[0] for c in kids) != dim:
-                raise ContractViolation("children dimensions do not sum to the node dimension")
-        level = [c for _, kids in level for c in kids]
 
 
 def _node_unit(node, l, units):
@@ -200,9 +109,10 @@ def enumerate_chain_types(m, subset, forests=None):
 
     ``subset`` is any subset of {2, ..., m}; its elements, in increasing
     order, are the part counts from the coarsest level down.  The empty
-    subset yields the single empty chain.  The types come as a tuple sorted
-    by tree; every tree ``_forests`` builds is already canonical.
-    ``forests`` is a dict of sub-forests to share between calls over the
+    subset yields the single empty chain.  The types come as a sorted tuple
+    of root trees, canonical as ``_forests`` builds them: children sorted,
+    each level spending exactly its count of parts, and leaves only on the
+    finest level, where the recursion ends.  ``forests`` is a dict of sub-forests to share between calls over the
     same C^m (one cube); a fresh one is used when none is passed.
     """
     subset = sorted(set(subset))
@@ -210,7 +120,7 @@ def enumerate_chain_types(m, subset, forests=None):
         raise ContractViolation("subset must lie in {2, ..., %d}" % m)
     if forests is None:
         forests = {}
-    return tuple(ChainType(m, forest[0]) for forest in _forests((m,), tuple(subset), forests))
+    return tuple(forest[0] for forest in _forests((m,), tuple(subset), forests))
 
 
 def _forests(dims, counts, memo):
@@ -255,8 +165,8 @@ def _forests(dims, counts, memo):
     return memo[key]
 
 
-def stabilizer(chain, l=1, k=None, units=None):
-    """Orbit descriptor of the isotropy of a chain, generalized by (k, l).
+def stabilizer(tree, l=1, k=None, units=None):
+    """Orbit descriptor of the isotropy of a chain tree, generalized by (k, l).
 
     The plain case (l = 1, k = m) yields U(m)/H with H the wreath-extended
     product of the leaf unitary groups.  In general each leaf block picks up
@@ -265,12 +175,12 @@ def stabilizer(chain, l=1, k=None, units=None):
     for this ``l`` to share between calls over one cube, like ``forests``;
     a fresh one is used when none is passed.
     """
-    m = chain.m
+    m = tree[0]
     if k is None:
         k = m * l
     if l < 1 or k < l * m:
         raise ContractViolation("need l >= 1 and k >= l*m")
-    unit = _node_unit(chain.root, l, {} if units is None else units)
+    unit = _node_unit(tree, l, {} if units is None else units)
     return OrbitDescriptor(k, unit.units if isinstance(unit, Bunch) else (unit,), k - l * m)
 
 
@@ -281,7 +191,7 @@ def stabilizer(chain, l=1, k=None, units=None):
 @dataclass(frozen=True)
 class CubeVertex:
     subset: tuple
-    chains: tuple  # of (ChainType, OrbitDescriptor, Poly)
+    chains: tuple  # of (chain tree, OrbitDescriptor, Poly)
     poincare: Poly  # the sum of the chain polynomials
 
 
@@ -330,7 +240,7 @@ class CubeReport:
                     "poincare": v.poincare.to_map(),
                     "chains": [
                         {
-                            "chain": _tree_string(c.root),
+                            "chain": _tree_string(c),
                             "stabilizer": d.canonical_string(),
                             "poincare": p.to_map(),
                         }
@@ -360,34 +270,31 @@ def _tree_string(node):
 
 
 def _subsets(elements):
-    out = [()]
-    for e in elements:
-        out += [s + (e,) for s in out]
-    return sorted(out, key=lambda s: (len(s), s))
+    """All subsets of ``elements`` (ascending) as tuples, by size then lexicographically."""
+    return [s for r in range(len(elements) + 1) for s in itertools.combinations(elements, r)]
 
 
 def _edge(subset, base_chains, extended_chains):
     """The direction-m edge at U = ``subset``: appending the line
     decomposition must be a bijection from the chain types of X(U) onto
     those of X(U + {m}) that keeps the Poincare polynomial."""
-    # pairing on raw roots: an enumerated root has already been validated
-    extended = {c.root: p for c, _, p in extended_chains}
+    extended = {c: p for c, _, p in extended_chains}
     hit = {}
     equal = True
     mismatches = []
     for c, _, p in base_chains:
-        ext = _append_lines(c.root)
+        ext = _append_lines(c)
         if ext in hit:
             mismatches.append("%s and %s both append to %s" % (
-                _tree_string(hit[ext]), _tree_string(c.root), _tree_string(ext)))
-        hit[ext] = c.root
+                _tree_string(hit[ext]), _tree_string(c), _tree_string(ext)))
+        hit[ext] = c
         q = extended.get(ext)
         if q is None:
             mismatches.append("no partner for %s" % _tree_string(ext))
         elif not p.agrees(q):
             equal = False
             mismatches.append("P(%s) = %s but P(%s) = %s" % (
-                _tree_string(c.root), p.pretty(), _tree_string(ext), q.pretty()))
+                _tree_string(c), p.pretty(), _tree_string(ext), q.pretty()))
     mismatches.extend(
         "unmatched extended type %s" % _tree_string(t) for t in extended if t not in hit)
     matched = len(hit) == len(base_chains) and hit.keys() == extended.keys()

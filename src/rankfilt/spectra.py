@@ -76,7 +76,9 @@ def pi0_check(k, l):
 
     1 for k >= l, 0 for l > k.  The positive answer is verified, not assumed:
     the first-stage space must be connected (degree-0 Betti number 1) and
-    every higher stage must be glued along a connected decomposition complex.
+    every higher stage must be glued along a connected decomposition complex,
+    as it is for m >= 2 by the proof in ``decomp.connectivity`` (checked by
+    ``test_connectivity`` against a search over all coarsenings, m <= 7).
     """
     if vanishing_check(k, l):
         return 0

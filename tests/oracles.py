@@ -39,11 +39,17 @@ that shares no code with the engine it checks:
   engine ranks nothing here: it takes rho_1..rho_r as the minimal
   generators by the theorem in the ``cartan`` module docstring, which this
   oracle checks.
+* ``check_chain_tree`` validates a chain tree in one walk over its levels:
+  the root has the ambient dimension, every node's children are sorted
+  descending and sum to its dimension, part counts strictly increase
+  downward and every leaf sits on the finest level.  ``decomp`` checks
+  none of this at run time, because ``_forests`` builds every tree that
+  way; the tests run this check on every tree the enumerator yields.
 * ``canonical_chain_type``, ``level_counts`` and ``leaves`` build a
-  ``ChainType`` from an unsorted tree and read its component counts per
-  level and its leaf dimensions, for the tests of the chain-tree validation
-  and the edge pairing in ``decomp``; ``vertex`` looks a cube vertex up by
-  its subset.
+  checked chain tree from an unsorted one and read its component counts
+  per level and its leaf dimensions, for the tests of the chain trees and
+  the edge pairing in ``decomp``; ``vertex`` looks a cube vertex up by its
+  subset.
 * ``PointedMap``, ``pushforward``, ``compose_rank`` and ``compose_indices``
   spell out the functoriality of the index calculus (maps of pointed sets
   push multiplicities forward; composition multiplies ranks).  They are the
@@ -61,7 +67,6 @@ from operator import add
 
 from rankfilt.cartan import InvariantViolation
 from rankfilt.combinat import ContractViolation, IndexTuple
-from rankfilt.decomp import ChainType
 from rankfilt.linalg import sparse_rank
 from rankfilt.orbitspace import (
     Block,
@@ -252,20 +257,47 @@ def full_ring_minimal_generators(kc):
 # chain trees
 
 
+def check_chain_tree(m, root):
+    """``root`` if it is the canonical tree of a chain of decompositions of
+    C^m; raises ``ContractViolation`` otherwise.
+
+    Children sorted descending at every node is the same as the tree being
+    its own canonical form.  Every leaf must sit on the finest level, so
+    that each level is one decomposition with the level's count of parts.
+    """
+    if root[0] != m:
+        raise ContractViolation("root dimension differs from ambient dimension")
+    prev, level = 0, [root]
+    while level:
+        if len(level) <= prev:
+            raise ContractViolation("component counts must strictly increase downward")
+        prev = len(level)
+        leaves = sum(1 for _, kids in level if not kids)
+        if 0 < leaves < len(level):
+            raise ContractViolation("leaves must all sit on the finest level")
+        for dim, kids in level:
+            if kids != tuple(sorted(kids, reverse=True)):
+                raise ContractViolation("chain tree is not in canonical form")
+            if kids and sum(c[0] for c in kids) != dim:
+                raise ContractViolation("children dimensions do not sum to the node dimension")
+        level = [c for _, kids in level for c in kids]
+    return root
+
+
 def canonical_chain_type(m, root):
-    """The ``ChainType`` of ``root`` with the children of every node sorted
-    descending, which is the canonical form ``ChainType`` validates."""
+    """The chain tree ``root`` with the children of every node sorted
+    descending, which is the canonical form, checked by ``check_chain_tree``."""
 
     def canon(node):
         dim, children = node
         return (dim, tuple(sorted((canon(c) for c in children), reverse=True)))
 
-    return ChainType(m, canon(root))
+    return check_chain_tree(m, canon(root))
 
 
-def stabilizer_oracle(chain, l=1, k=None):
-    """The descriptor of ``decomp.stabilizer`` from the raw unit tree of
-    ``chain``, canonicalized as a whole."""
+def stabilizer_oracle(tree, l=1, k=None):
+    """The descriptor of ``decomp.stabilizer`` from the raw unit tree of the
+    chain ``tree``, canonicalized as a whole."""
 
     def unit(node):
         dim, children = node
@@ -277,24 +309,25 @@ def stabilizer_oracle(chain, l=1, k=None):
             classes.append(unit(child) if copies == 1 else Wreath(unit(child), copies))
         return Bunch(tuple(classes))
 
+    m = tree[0]
     if k is None:
-        k = chain.m * l
-    return OrbitDescriptor(k, (unit(chain.root),), k - l * chain.m).canonicalize()
+        k = m * l
+    return OrbitDescriptor(k, (unit(tree),), k - l * m).canonicalize()
 
 
-def level_counts(chain):
+def level_counts(tree):
     """Component counts per level of a chain tree, coarsest first."""
-    counts, level = [], list(chain.root[1])
+    counts, level = [], list(tree[1])
     while level:
         counts.append(len(level))
         level = [c for _, children in level for c in children]
     return counts
 
 
-def leaves(chain):
+def leaves(tree):
     """Dimensions of the leaves of a chain tree, which all sit on its finest
     level, in tree order."""
-    level = [chain.root]
+    level = [tree]
     while level[0][1]:
         level = [c for _, children in level for c in children]
     return [dim for dim, _ in level]

@@ -41,6 +41,25 @@ def test_negative_subquotient_stage_is_named(capsys):
     assert err == "error: need subquotient stage m >= 0\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "summands 4 1 2 --positive",
+        "summands 4 1 2 --latching --subquotient 2",
+        "summands 4 1 2 --max-rank 1 --subquotient 2",
+        "summands 4 1 2 --json --csv",
+        "report 4 2 --json --csv",
+    ],
+)
+def test_ignored_flag_combinations_are_usage_errors(capsys, argv):
+    try:
+        code = cli.main(argv.split())
+    except SystemExit as exc:  # argparse rejects conflicting flags itself
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and err
+
+
 def test_poincare_values(capsys):
     for desc, expected in [
         ("U(3)/[S2wr(1)|x(1)]", "1 + t^2 + t^4"),

@@ -1,4 +1,4 @@
-"""Decomposition types, chain trees, stabilizers, and cube verification."""
+"""Decomposition complexes, chain trees, stabilizers, and cube verification."""
 
 import hashlib
 import json
@@ -6,17 +6,21 @@ from itertools import combinations
 
 import pytest
 
-from oracles import canonical_chain_type, leaves, level_counts, stabilizer_oracle, vertex
+from oracles import (
+    canonical_chain_type,
+    check_chain_tree,
+    leaves,
+    level_counts,
+    stabilizer_oracle,
+    vertex,
+)
 from rankfilt import cartan, decomp
 from rankfilt.cache import memo
 from rankfilt.combinat import ContractViolation
 from rankfilt.decomp import (
-    ChainType,
-    DecompositionType,
     connectivity,
     cube_report,
     enumerate_chain_types,
-    enumerate_decomposition_types,
     _append_lines,
     _tree_string,
     stabilizer,
@@ -24,24 +28,7 @@ from rankfilt.decomp import (
 from rankfilt.poly import Poly
 
 
-def parts_of(types):
-    return sorted(t.parts for t in types)
-
-
-def trees_of(types):
-    return sorted(c.root for c in types)
-
-
-# -- decomposition types --------------------------------------------------------
-
-
-def test_enumerate_decomposition_types():
-    assert parts_of(enumerate_decomposition_types(3, 2)) == [(2, 1)]
-    assert parts_of(enumerate_decomposition_types(2, 2)) == [(1, 1)]
-    assert parts_of(enumerate_decomposition_types(4, 2)) == [(2, 2), (3, 1)]
-    assert parts_of(enumerate_decomposition_types(5, 3)) == [(2, 2, 1), (3, 1, 1)]
-    with pytest.raises(ContractViolation):
-        enumerate_decomposition_types(3, 4)
+# -- decomposition complexes ------------------------------------------------------
 
 
 def _set_partitions(items):
@@ -55,21 +42,39 @@ def _set_partitions(items):
         yield [[first]] + part
 
 
+def _merged(grouping):
+    """The decomposition type, parts sorted descending, of merging along ``grouping``."""
+    return tuple(sorted((sum(g) for g in grouping), reverse=True))
+
+
+def _proper_types(m):
+    """Proper decomposition types of C^m: the coarsenings of the lines into >= 2 parts."""
+    return {_merged(g) for g in _set_partitions([1] * m) if len(g) >= 2}
+
+
 def _coarsenings(v):
     """Proper types other than v obtained by merging v's parts along a set partition."""
     out = set()
-    for grouping in _set_partitions(list(v.parts)):
-        merged = DecompositionType.of(sum(g) for g in grouping)
+    for grouping in _set_partitions(list(v)):
+        merged = _merged(grouping)
         if len(grouping) >= 2 and merged != v:
             out.add(merged)
     return out
 
 
+def _pair_merges(v):
+    """Proper types reached by merging two parts of v; none below three parts."""
+    if len(v) < 3:
+        return set()
+    return {
+        _merged([[v[i] + v[j]]] + [[p] for n, p in enumerate(v) if n not in (i, j)])
+        for i, j in combinations(range(len(v)), 2)
+    }
+
+
 def _coarsening_connectivity(m):
     """Reference: search the graph of all coarsenings, both ways."""
-    vertices = set()
-    for parts in range(2, m + 1):
-        vertices |= enumerate_decomposition_types(m, parts)
+    vertices = _proper_types(m)
     if not vertices:
         return False
     start = next(iter(vertices))
@@ -89,16 +94,17 @@ def test_connectivity():
     assert connectivity(1) is False
     for m in range(2, 13):
         assert connectivity(m) is True, m
+    with pytest.raises(ContractViolation):
+        connectivity(0)
     for m in range(1, 8):
         assert connectivity(m) is _coarsening_connectivity(m), m
         # the coarsenings of a type are exactly the runs of pair merges
-        for parts in range(2, m + 1):
-            for v in enumerate_decomposition_types(m, parts):
-                reached, frontier = set(), v.merges()
-                while frontier:
-                    reached |= frontier
-                    frontier = {w for u in frontier for w in u.merges()} - reached
-                assert reached == _coarsenings(v), v
+        for v in _proper_types(m):
+            reached, frontier = set(), _pair_merges(v)
+            while frontier:
+                reached |= frontier
+                frontier = {w for u in frontier for w in _pair_merges(u)} - reached
+            assert reached == _coarsenings(v), v
 
 
 # -- chain types -------------------------------------------------------------------
@@ -106,15 +112,15 @@ def test_connectivity():
 
 def test_enumerate_chain_types_examples():
     # one type: {2,1} refined by lines
-    assert trees_of(enumerate_chain_types(3, {2, 3})) == [
+    assert sorted(enumerate_chain_types(3, {2, 3})) == [
         (3, ((2, ((1, ()), (1, ()))), (1, ((1, ()),))))
     ]
-    assert trees_of(enumerate_chain_types(3, {3})) == [(3, ((1, ()), (1, ()), (1, ())))]
-    assert trees_of(enumerate_chain_types(4, {2})) == [
+    assert sorted(enumerate_chain_types(3, {3})) == [(3, ((1, ()), (1, ()), (1, ())))]
+    assert sorted(enumerate_chain_types(4, {2})) == [
         (4, ((2, ()), (2, ()))),
         (4, ((3, ()), (1, ()))),
     ]
-    assert trees_of(enumerate_chain_types(3, ())) == [(3, ())]
+    assert sorted(enumerate_chain_types(3, ())) == [(3, ())]
     # two level structures on the same level multiset are distinguished
     assert len(enumerate_chain_types(5, {2, 3})) == 4
 
@@ -122,8 +128,8 @@ def test_enumerate_chain_types_examples():
 def test_chain_canonical_idempotence():
     messy = (4, ((1, ((1, ()),)), (3, ((1, ()), (2, ())))))
     c = canonical_chain_type(4, messy)
-    assert canonical_chain_type(4, c.root) == c
-    assert c.root == (4, ((3, ((2, ()), (1, ()))), (1, ((1, ()),))))
+    assert canonical_chain_type(4, c) == c
+    assert c == (4, ((3, ((2, ()), (1, ()))), (1, ((1, ()),))))
 
 
 def test_chain_level_counts_and_leaves():
@@ -149,7 +155,7 @@ def test_chain_level_counts_and_leaves():
             for subset in combinations(range(2, m + 1), size):
                 for c in enumerate_chain_types(m, subset):
                     counts, found = [], []
-                    walk(c.root, 0, counts, found)
+                    walk(c, 0, counts, found)
                     assert level_counts(c) == counts == list(subset)
                     assert leaves(c) == found
 
@@ -174,23 +180,36 @@ def test_append_and_strip_are_inverse():
                 chains = enumerate_chain_types(m, subset)
                 appended = set()
                 for c in chains:
-                    ext = ChainType(m, _append_lines(c.root))
+                    ext = _append_lines(c)
                     assert level_counts(ext) == level_counts(c) + [m]
                     assert all(d == 1 for d in leaves(ext))
-                    appended.add(ext.root)
+                    appended.add(ext)
                 assert len(appended) == len(chains), (m, subset)
+
+
+def test_enumerated_and_appended_trees_are_valid_chain_trees():
+    # decomp checks no tree at run time: _forests builds every one canonical
+    # and level-complete, and appending the lines keeps it so on every base
+    # vertex of a cube edge (m >= 2, m not in U)
+    for m in range(1, 9):
+        for size in range(m):
+            for subset in combinations(range(2, m + 1), size):
+                for c in enumerate_chain_types(m, subset):
+                    assert check_chain_tree(m, c) is c
+                    if 1 < m and m not in subset:
+                        check_chain_tree(m, _append_lines(c))
 
 
 def test_chain_type_validation():
     with pytest.raises(ContractViolation):
-        ChainType(3, (2, ()))  # wrong root dimension
+        check_chain_tree(3, (2, ()))  # wrong root dimension
     with pytest.raises(ContractViolation):
-        canonical_chain_type(3, (3, ((1, ()), (1, ()))))  # children do not sum to 3
+        check_chain_tree(3, (3, ((1, ()), (1, ()))))  # children do not sum to 3
     with pytest.raises(ContractViolation):
-        ChainType(4, (4, ((1, ()), (3, ()))))  # children not in canonical order
+        check_chain_tree(4, (4, ((1, ()), (3, ()))))  # children not in canonical order
     with pytest.raises(ContractViolation):
         # a leaf beside an inner node: level 2 would be a 4-part decomposition
-        canonical_chain_type(4, (4, ((3, ((1, ()), (1, ()), (1, ()))), (1, ()))))
+        check_chain_tree(4, (4, ((3, ((1, ()), (1, ()), (1, ()))), (1, ()))))
 
 
 # -- stabilizers --------------------------------------------------------------------
@@ -219,7 +238,7 @@ def test_stabilizer_is_unchanged_on_every_chain_type_up_to_m7():
         for size in range(m):
             for subset in combinations(range(2, m + 1), size):
                 for c in enumerate_chain_types(m, subset):
-                    h.update(("%s %r\n" % (_tree_string(c.root), stabilizer(c))).encode())
+                    h.update(("%s %r\n" % (_tree_string(c), stabilizer(c))).encode())
                     n += 1
     assert n == 1175
     assert h.hexdigest() == "ddaca4cf9a931c2d73ff15fdd9f0b3758808f086"
@@ -231,7 +250,7 @@ def test_shared_units_give_the_canonicalized_raw_tree():
         memo.clear()
         for v in cube_report(m, l, k).vertices:
             for c, d, _ in v.chains:
-                assert d == stabilizer_oracle(c, l, k) == d.canonicalize(), _tree_string(c.root)
+                assert d == stabilizer_oracle(c, l, k) == d.canonicalize(), _tree_string(c)
     memo.clear()
 
 
@@ -239,8 +258,7 @@ def test_stabilizer_connected_part_of_extended_chain_is_torus():
     for m in (2, 3, 4):
         for subset in [(), (2,)]:
             for c in enumerate_chain_types(m, set(s for s in subset if 2 <= s < m)):
-                ext = ChainType(m, _append_lines(c.root))
-                d = stabilizer(ext)
+                d = stabilizer(_append_lines(c))
                 assert all(b.size == 1 and b.mult == 1 for b in d.blocks())
                 assert len(d.blocks()) == m
 
@@ -326,8 +344,8 @@ def test_cube_report_keeps_no_state_between_runs():
     assert second.to_json() == first.to_json()
     assert _module_state() == state
     # the sub-forests are rebuilt, not kept from the first run
-    roots = {id(c.root) for v in first.vertices for c, _, _ in v.chains}
-    assert not any(id(c.root) in roots for v in second.vertices for c, _, _ in v.chains)
+    trees = {id(c) for v in first.vertices for c, _, _ in v.chains}
+    assert not any(id(c) in trees for v in second.vertices for c, _, _ in v.chains)
 
 
 def test_missing_extended_chain_is_reported_not_raised(monkeypatch):
@@ -348,11 +366,10 @@ def test_missing_extended_chain_is_reported_not_raised(monkeypatch):
 def test_two_chains_appending_to_one_tree_are_reported_not_raised(monkeypatch):
     append = decomp._append_lines
     base = enumerate_chain_types(4, (2,))
-    assert _tree_string(base[0].root) == "4[2,2]" and _tree_string(base[1].root) == "4[3,1]"
-    collide = append(base[0].root)
-    roots = {c.root for c in base}
+    assert _tree_string(base[0]) == "4[2,2]" and _tree_string(base[1]) == "4[3,1]"
+    collide = append(base[0])
     monkeypatch.setattr(
-        decomp, "_append_lines", lambda node: collide if node in roots else append(node)
+        decomp, "_append_lines", lambda node: collide if node in base else append(node)
     )
     r = cube_report(4)
     assert not r.verified
