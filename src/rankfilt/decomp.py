@@ -6,12 +6,12 @@ it is proper when it has at least two parts.  The complex of proper
 decompositions is connected exactly when m >= 2 (see ``connectivity``).
 
 A chain of decompositions, each refining the next, is recorded by its
-canonical nested tree, a tuple ``(dim, children)`` with the children
-sorted descending (a leaf is ``(dim, ())``): the root is C^m, the root's children are the parts of
-the coarsest decomposition, and each level refines the one above, so part
-counts strictly increase downward.  Unary nodes are kept so that the tree
-levels match the prescribed component counts exactly, and every leaf sits
-on the finest level.  This tree is the chain type.
+canonical nested tree, the chain type: a tuple ``(dim, children)`` with the
+children sorted descending, a leaf being ``(dim, ())``.  The root is C^m,
+its children are the parts of the coarsest decomposition, and each level
+refines the one above, so part counts strictly increase downward.  Unary
+nodes are kept so that the tree levels match the prescribed component
+counts exactly, and every leaf sits on the finest level.
 
 For a subset U of {2, ..., m} the cube vertex X(U) is the space of chains
 whose level component counts are the elements of U; it is a finite disjoint
@@ -112,8 +112,9 @@ def enumerate_chain_types(m, subset, forests=None):
     subset yields the single empty chain.  The types come as a sorted tuple
     of root trees, canonical as ``_forests`` builds them: children sorted,
     each level spending exactly its count of parts, and leaves only on the
-    finest level, where the recursion ends.  ``forests`` is a dict of sub-forests to share between calls over the
-    same C^m (one cube); a fresh one is used when none is passed.
+    finest level, where the recursion ends.  ``forests`` is a dict of
+    sub-forests to share between calls over the same C^m (one cube); a
+    fresh one is used when none is passed.
     """
     subset = sorted(set(subset))
     if any(not 2 <= u <= m for u in subset):
@@ -270,7 +271,6 @@ def _tree_string(node):
 
 
 def _subsets(elements):
-    """All subsets of ``elements`` (ascending) as tuples, by size then lexicographically."""
     return [s for r in range(len(elements) + 1) for s in itertools.combinations(elements, r)]
 
 

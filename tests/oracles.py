@@ -272,8 +272,8 @@ def check_chain_tree(m, root):
         if len(level) <= prev:
             raise ContractViolation("component counts must strictly increase downward")
         prev = len(level)
-        leaves = sum(1 for _, kids in level if not kids)
-        if 0 < leaves < len(level):
+        n_leaves = sum(1 for _, kids in level if not kids)
+        if 0 < n_leaves < len(level):
             raise ContractViolation("leaves must all sit on the finest level")
         for dim, kids in level:
             if kids != tuple(sorted(kids, reverse=True)):

@@ -67,7 +67,7 @@ def _pair_merges(v):
     if len(v) < 3:
         return set()
     return {
-        _merged([[v[i] + v[j]]] + [[p] for n, p in enumerate(v) if n not in (i, j)])
+        _merged([[v[i], v[j]]] + [[p] for n, p in enumerate(v) if n not in (i, j)])
         for i, j in combinations(range(len(v)), 2)
     }
 
