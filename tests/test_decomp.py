@@ -16,7 +16,7 @@ from oracles import (
 )
 from rankfilt import cartan, decomp
 from rankfilt.cache import memo
-from rankfilt.combinat import ContractViolation
+from rankfilt.combinat import ContractViolation, partitions_into
 from rankfilt.decomp import (
     connectivity,
     cube_report,
@@ -29,6 +29,15 @@ from rankfilt.poly import Poly
 
 
 # -- decomposition complexes ------------------------------------------------------
+
+
+def test_enumerate_decomposition_types():
+    # the proper decompositions of C^m into a given number of parts, up to orbit
+    assert sorted(partitions_into(3, 2)) == [(2, 1)]
+    assert sorted(partitions_into(2, 2)) == [(1, 1)]
+    assert sorted(partitions_into(4, 2)) == [(2, 2), (3, 1)]
+    assert sorted(partitions_into(5, 3)) == [(2, 2, 1), (3, 1, 1)]
+    assert list(partitions_into(3, 4)) == []
 
 
 def _set_partitions(items):
