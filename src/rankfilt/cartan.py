@@ -64,14 +64,14 @@ G-equivariant with G acting trivially on its generators,
 
     Hilb((R/I)^G) = prod_{i<=r} (1 - t^(2i)) * (1/|G|) sum_g 1/det(1 - g t | V)
 
-for V the span of the polynomial generators.  The average is a sum over
+for V the span of the polynomial generators.  The sum over g is a sum over
 the cycle index of G on those generators
 (:func:`orbitspace.generator_cycle_index`), built from the wreath tree:
 a cycle of length L through the copies of a generator of degree 2j
 contributes 1 - t^(2jL).  The group is never listed.  The series is
-computed exactly, with Fractions, through the real dimension n; the even
-part must vanish above n - sum_{i>r} (2i - 1), which is the top degree
-of R/I.
+summed in integers with the class counts through the real dimension n and
+divided by |G| = ``finite_part_order``; the even part must vanish above
+n - sum_{i>r} (2i - 1), which is the top degree of R/I.
 
 Every answer is checked against the Koszul ranks in the degrees through
 min(``WITNESS_DEGREES``, n), a witness that shares only the Chern images
@@ -105,6 +105,7 @@ from .orbitspace import (
     generator_cycle_index,
     molien_poincare,
     real_dimension,
+    weyl_order,
 )
 from .poly import Poly, prod
 
@@ -412,10 +413,11 @@ class KoszulComplex:
         top = n - sum(2 * i - 1 for i in free)
         half = n // 2  # in q = t^2
         series = Poly.zero(half)
-        for part, weight in generator_cycle_index(d).items():
-            series = series + prod((Poly.geometric(m, half) for m in part), half) * weight
+        for part, count in generator_cycle_index(d).items():
+            series = series + prod((Poly.geometric(m, half) for m in part), half) * count
         try:
-            even = (series * prod(Poly.one_minus(i) for i in range(1, r + 1))).as_integer()
+            even = (series * prod(Poly.one_minus(i) for i in range(1, r + 1))).divide(
+                finite_part_order(d))
         except ArithmeticError as exc:
             raise InvariantViolation("%s for %s" % (exc, d.canonical_string())) from None
         if 2 * even.degree() > top:
@@ -459,7 +461,7 @@ def check_invariants(d, p):
     b_0 = 1, no negative coefficient, nothing above the real dimension n;
     with connected isotropy U(k)/H is a closed orientable manifold, so the
     top degree is n and ``p`` is palindromic; and the Euler characteristic
-    p(-1) is k! / (prod a_b! * c! * |G|) when rank H_0 = k, else 0.  The
+    p(-1) is k!/|W| (``weyl_order``) when rank H_0 = k, else 0.  The
     isotropy is connected when its finite part G = H / H_0 is trivial,
     |G| = 1, which holds for every spelling of ``d``, canonical or not.
     """
@@ -477,11 +479,9 @@ def check_invariants(d, p):
     order = finite_part_order(d)
     if order == 1 and (p.degree() != n or not p.is_palindromic()):
         fail("Poincare duality fails")
-    sizes = [b.size for b in d.blocks()] + [d.complement]
     euler = 0
-    if sum(sizes) == d.k:
-        euler = Fraction(math.factorial(d.k), order * math.prod(
-            math.factorial(a) for a in sizes))
+    if d.is_torus_commensurable():
+        euler = Fraction(math.factorial(d.k), weyl_order(d))
     chi = sum(c if deg % 2 == 0 else -c for deg, c in p.coeffs.items())
     if chi != euler:
         fail("Euler characteristic %d, not %s," % (chi, euler))

@@ -27,9 +27,16 @@ polynomials.  The signed sum over all vertices is then zero for free, but
 is checked anyway as an independent Euler-level consistency test.
 
 For general (k, l) the vertex orbits are U(k)/(H (x) I_l x U(k - l*m)) with
-H the plain chain isotropy.  The edge equalities in that generality are an
-empirical verification, not a cited fact: a failure is reported as a
-finding, never auto-corrected.
+H the plain chain isotropy, and P(c) = P(append(c)) for every chain c.
+Appending the lines turns each leaf U(a) of H into N(T_a) = S_a wr U(1)
+and keeps the finite part: stripping the finest level undoes the append,
+so siblings are equal after it exactly when they were before.  The new
+isotropy is thus a subgroup of the old one, and the map of orbits is a
+fibre bundle with connected fibre prod U(a)/N(T_a) over the leaves.  That
+fibre is rationally a point, since H*(U(a)/T_a; Q) is the regular
+representation of S_a, so the map is an isomorphism on rational
+cohomology (Serre spectral sequence).  ``_edge`` still checks every edge
+at run time, and a failure is reported as a finding, never auto-corrected.
 """
 
 from __future__ import annotations

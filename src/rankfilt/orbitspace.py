@@ -17,17 +17,17 @@ dimensions of H*(U(k)/H; Q) are computed by a Molien average over the
 induced subgroup W of the symmetric group S_k: in each even degree 2d the
 dimension is the multiplicity of the trivial character in the degree-d part
 of the coinvariant algebra of S_k.  The average is taken over cycle types
-with class-size weights (a cycle index), never element by element, and in
+with class counts (a cycle index), never element by element, and in
 integers: the series 1/prod_{c in lambda} (1 - q^c) of each cycle type
-lambda is expanded through degree D = k(k-1)/2, the series are summed with
-weights scaled to integers by the lcm L of their denominators, multiplied
-by prod_{i<=k} (1 - q^i) and divided by L.  Each character
+lambda is expanded through degree D = k(k-1)/2, the series are summed
+with the number of elements of W of each type, multiplied by
+prod_{i<=k} (1 - q^i) and divided by |W| (``weyl_order``).  Each character
 prod_{i<=k} (1 - q^i) / prod_{c in lambda} (1 - q^c) is a polynomial of
 degree exactly D, because lambda sums to k, so truncating at D loses
 nothing.  The average is cross-checked in the tests against
-flag-manifold polynomials built from Gaussian binomials, and against an
-average of exact polynomial quotients with Fraction weights; neither route
-shares code with this one.
+flag-manifold polynomials built from Gaussian binomials, and against a
+sum of exact polynomial quotients divided by the sum of the counts;
+neither route shares code with this one.
 
 Grading convention, fixed globally: one power of q is cohomological degree 2
 (complex cells), so all Poincare polynomials substitute q -> t^2.
@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .combinat import partitions_into
 from .poly import Poly
@@ -375,8 +374,8 @@ def _parse_unit(sc):
 # ---------------------------------------------------------------------------
 # cycle indices
 
-# A cycle index is a map {cycle type -> weight}: cycle types are partitions
-# stored as descending tuples, weights are Fractions summing to 1.
+# A cycle index is a map {cycle type -> number of group elements of that
+# type}: cycle types are partitions stored as descending tuples.
 
 
 def _z_lambda(part):
@@ -389,9 +388,9 @@ def _z_lambda(part):
 
 
 def sym_cycle_index(n):
-    """Cycle index of the full symmetric group S_n."""
+    """Cycle index of the full symmetric group S_n: n!/z_lambda of type lambda."""
     return {
-        part: Fraction(1, _z_lambda(part))
+        part: math.factorial(n) // _z_lambda(part)
         for r in range(n + 1)
         for part in partitions_into(n, r)
     }
@@ -400,44 +399,35 @@ def sym_cycle_index(n):
 def ci_product(z1, z2):
     """Cycle index of a direct product acting on the disjoint union."""
     out = {}
-    for p1, w1 in z1.items():
-        for p2, w2 in z2.items():
+    for p1, c1 in z1.items():
+        for p2, c2 in z2.items():
             p = tuple(sorted(p1 + p2, reverse=True))
-            out[p] = out.get(p, Fraction(0)) + w1 * w2
+            out[p] = out.get(p, 0) + c1 * c2
     return out
 
 
-def _ci_scale(z, factor):
-    out = {}
-    for p, w in z.items():
-        sp = tuple(sorted((c * factor for c in p), reverse=True))
-        out[sp] = out.get(sp, Fraction(0)) + w
-    return out
+def _ci_scale(z, factor, weight):
+    """Every cycle length of ``z`` times ``factor``, every count times ``weight``."""
+    return {tuple(c * factor for c in p): n * weight for p, n in z.items()}
 
 
 def ci_plethysm(outer, inner):
     """Cycle index of the wreath product: ``outer`` permutes copies of ``inner``.
 
-    Each cycle of length i in an outer term contributes one independent copy
-    of the inner index with all cycle lengths multiplied by i.
+    Along an i-cycle of the outer permutation the copies have the cycles
+    of the product of their i inner elements, i times as long, and each
+    product arises from |inner|^(i-1) choices (|inner| the sum of the inner
+    counts): so lengths are scaled by i and counts by |inner|^(i-1).
     """
+    size = sum(inner.values())
     out = {}
-    for mu, w in outer.items():
-        term = {(): Fraction(1)}
+    for mu, n in outer.items():
+        term = {(): n}
         for i in mu:
-            term = ci_product(term, _ci_scale(inner, i))
-        for p, u in term.items():
-            out[p] = out.get(p, Fraction(0)) + w * u
+            term = ci_product(term, _ci_scale(inner, i, size ** (i - 1)))
+        for p, c in term.items():
+            out[p] = out.get(p, 0) + c
     return out
-
-
-def _weyl_leaf(b):
-    """The symmetric group on the points of a block of tensor multiplicity 1."""
-    if b.mult != 1:
-        raise NotTorusCommensurable(
-            "not torus-commensurable: block of tensor multiplicity %d" % b.mult
-        )
-    return sym_cycle_index(b.size)
 
 
 def _generator_leaf(size):
@@ -447,7 +437,7 @@ def _generator_leaf(size):
     scaling by the length L of a cycle of copies (``ci_plethysm``) gives the
     factor 1 - q^(jL) = 1 - t^(2jL) of det(1 - g t) on the copies.
     """
-    return {tuple(range(size, 0, -1)): Fraction(1)}
+    return {tuple(range(size, 0, -1)): 1}
 
 
 def _unit_cycle_index(u, leaf):
@@ -456,7 +446,7 @@ def _unit_cycle_index(u, leaf):
     if isinstance(u, Wreath):
         return ci_plethysm(sym_cycle_index(u.copies), _unit_cycle_index(u.inner, leaf))
     if isinstance(u, Bunch):
-        z = {(): Fraction(1)}
+        z = {(): 1}
         for v in u.units:
             z = ci_product(z, _unit_cycle_index(v, leaf))
         return z
@@ -473,7 +463,7 @@ def descriptor_cycle_index(d):
         raise NotTorusCommensurable(
             "not torus-commensurable: %s" % d.canonical_string()
         )
-    units = _unit_cycle_index(Bunch(d.units), _weyl_leaf)
+    units = _unit_cycle_index(Bunch(d.units), lambda b: sym_cycle_index(b.size))
     return ci_product(sym_cycle_index(d.complement), units)
 
 
@@ -484,8 +474,8 @@ def generator_cycle_index(d):
     complement U(c) in degrees 2, ..., 2c; the finite part permutes the
     generators of identical blocks.  A cycle of length m in a cycle type
     stands for the factor 1 - q^m of det(1 - g q) on the generators, with
-    q = t^2, so (1/|G|) sum_g 1/det(1 - g q) is the sum over cycle types of
-    the weight divided by prod (1 - q^m).  Tensor multiplicities and a
+    q = t^2, so sum_g 1/det(1 - g q) is the sum over cycle types of the
+    count divided by prod (1 - q^m).  Tensor multiplicities and a
     fixed subspace change no generator, so every descriptor has this index.
     """
     units = _unit_cycle_index(Bunch(d.units), lambda b: _generator_leaf(b.size))
@@ -505,6 +495,13 @@ def finite_part_order(d):
     return order(Bunch(d.units))
 
 
+def weyl_order(d):
+    """|W| = ``finite_part_order(d)`` * prod a_b! * c! over the leaf blocks and
+    the complement: the order of the group of ``descriptor_cycle_index``."""
+    return finite_part_order(d) * math.factorial(d.complement) * math.prod(
+        math.factorial(b.size) for b in d.blocks())
+
+
 # ---------------------------------------------------------------------------
 # the Molien average
 
@@ -514,30 +511,21 @@ def molien_poincare(d):
 
     The integer average of the module docstring: each series
     1/prod_{c in lambda} (1 - q^c) takes one prefix-sum pass per part
-    through q^D, D = k(k-1)/2, and the weighted sum times
+    through q^D, D = k(k-1)/2, and the count-weighted sum times
     prod_{i<=k} (1 - q^i) is exact through q^D, where every character
-    ends.  A coefficient that L does not divide raises ArithmeticError.
-    The result is regraded q -> t^2; the dispatcher ``cartan.poincare``
-    runs the invariant checks on it.
+    ends.  Dividing by |W|, not by the sum of the counts, leaves a wrong
+    count to show as b_0 != 1 or as an ArithmeticError.  The result is
+    regraded q -> t^2; ``cartan.poincare`` runs the invariant checks on it.
     """
-    z = descriptor_cycle_index(d)
     top = d.k * (d.k - 1) // 2
-    scale = math.lcm(*(w.denominator for w in z.values()))
     acc = [0] * (top + 1)
-    for part, w in z.items():
+    for part, count in descriptor_cycle_index(d).items():
         series = [1] + [0] * top
         for c in part:
             for i in range(c, top + 1):
                 series[i] += series[i - c]
-        weight = w.numerator * (scale // w.denominator)
-        acc = [a + weight * s for a, s in zip(acc, series)]
+        acc = [a + count * s for a, s in zip(acc, series)]
     for j in range(1, d.k + 1):
         for i in range(top, j - 1, -1):
             acc[i] -= acc[i - j]
-    coeffs = {}
-    for i, c in enumerate(acc):
-        if c % scale:
-            raise ArithmeticError(
-                "non-integral coefficient %s in degree %d" % (Fraction(c, scale), i))
-        coeffs[2 * i] = c // scale
-    return Poly(coeffs)
+    return Poly(dict(enumerate(acc))).divide(weyl_order(d)).substitute_power(2)

@@ -3,13 +3,13 @@
 A ``Poly`` is a sparse map ``degree -> coefficient``.  ``truncation=None``
 means the polynomial is known exactly in every degree; ``truncation=D``
 means coefficients are only known for degrees ``<= D`` (power-series mode).
-Coefficients are ints, or Fractions transiently while averaging; results
-that are meant to be Poincare polynomials must pass :func:`as_integer`.
+Coefficients are ints: an average over a group sums with class counts and
+ends in one :meth:`Poly.divide` by the group order, exact or an error.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 
 class Poly:
@@ -97,9 +97,7 @@ class Poly:
         return _promote(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Poly.zero(self.truncation)
+        if isinstance(other, int):
             return Poly({d: c * other for d, c in self.coeffs.items()}, self.truncation)
         other = _promote(other)
         t = self._common_truncation(self.truncation, other.truncation)
@@ -147,15 +145,17 @@ class Poly:
 
     # -- shape checks ---------------------------------------------------
 
-    def as_integer(self):
-        """Force all coefficients to int; ArithmeticError on a true fraction."""
+    def divide(self, n):
+        """Every coefficient divided by the positive integer ``n``;
+        ArithmeticError, naming the reduced fraction, on a remainder."""
         cs = {}
         for d, c in self.coeffs.items():
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise ArithmeticError("non-integral coefficient %s in degree %d" % (c, d))
-                c = int(c)
-            cs[d] = c
+            q, r = divmod(c, n)
+            if r:
+                g = math.gcd(c, n)
+                raise ArithmeticError(
+                    "non-integral coefficient %d/%d in degree %d" % (c // g, n // g, d))
+            cs[d] = q
         return Poly(cs, self.truncation)
 
     def is_palindromic(self):
@@ -197,7 +197,7 @@ class Poly:
 def _promote(x):
     if isinstance(x, Poly):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         return Poly({0: x})
     raise TypeError("cannot interpret %r as a polynomial" % (x,))
 

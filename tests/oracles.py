@@ -11,10 +11,18 @@ that shares no code with the engine it checks:
   meet only in the answer.
 * ``molien_poincare_oracle`` averages by polynomial division: for each
   cycle type it divides prod_{i<=k} (1 - q^i) by prod_{c in lambda} (1 - q^c)
-  with ``divide_exact`` (``graded_char_coinv``), then sums the quotients
-  as ``Poly`` objects with ``Fraction`` weights.  The engine expands
-  integer series truncated at degree k(k-1)/2 and divides once by the lcm
-  of the weight denominators, so the two share only the cycle index.
+  with ``divide_exact`` (``graded_char_coinv``), sums count x quotient as
+  ``Poly`` objects, and divides the sum by the order, which it takes as
+  the sum of the counts, with ``divide_exact`` again.  The engine expands
+  integer series truncated at degree k(k-1)/2 and divides once by the
+  closed-form order ``weyl_order``, so the two share only the cycle index.
+* ``cycle_index_by_enumeration`` lists the group W <= S_k of a
+  torus-commensurable descriptor element by element: it closes the
+  generating permutations of the k points (adjacent transpositions inside
+  each leaf block and inside the complement, and the adjacent copy swaps
+  at every ``Wreath`` node) and counts cycle types.  The engines build
+  their cycle indices by ``ci_product`` and ``ci_plethysm`` and list no
+  element.
 * ``stabilizer_oracle`` builds the raw isotropy unit tree of a chain,
   single classes and nested bunches included, and canonicalizes the whole
   descriptor with ``OrbitDescriptor.canonicalize``.  ``decomp.stabilizer``
@@ -60,6 +68,7 @@ that shares no code with the engine it checks:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -119,7 +128,7 @@ def flag_poincare_oracle(composition):
 
 def divide_exact(num, den):
     """Exact division of untruncated polynomials; ArithmeticError on a
-    remainder."""
+    remainder or on a quotient that is not integral."""
     if num.truncation is not None or den.truncation is not None:
         raise ValueError("exact division requires untruncated polynomials")
     if not den.coeffs:
@@ -132,9 +141,10 @@ def divide_exact(num, den):
         rd = max(rem)
         if rd < dd:
             raise ArithmeticError("non-exact polynomial division (remainder of degree %d)" % rd)
-        q = Fraction(rem[rd], lead)
-        if q.denominator == 1:
-            q = int(q)
+        q, r = divmod(rem[rd], lead)
+        if r:
+            raise ArithmeticError(
+                "non-integral quotient %s in degree %d" % (Fraction(rem[rd], lead), rd - dd))
         quot[rd - dd] = q
         for d2, c2 in den.coeffs.items():
             nd = rd - dd + d2
@@ -155,17 +165,86 @@ def graded_char_coinv(cycle_type, k, numerator):
     if sum(cycle_type) != k or any(c < 1 for c in cycle_type):
         raise DescriptorError("%r is not a partition of %d" % (cycle_type, k))
     den = prod(Poly.one_minus(c) for c in cycle_type)
-    return divide_exact(numerator, den).as_integer()
+    return divide_exact(numerator, den)
 
 
 def molien_poincare_oracle(d):
-    """The Molien average of ``d`` as a sum of characters with Fraction
-    weights, regraded q -> t^2."""
+    """The Molien average of ``d``: the sum of its characters weighted by
+    the class counts, divided by the sum of the counts and regraded
+    q -> t^2."""
     num = prod(Poly.one_minus(i) for i in range(1, d.k + 1))
+    z = descriptor_cycle_index(d)
     acc = Poly.zero()
-    for part, w in descriptor_cycle_index(d).items():
-        acc = acc + graded_char_coinv(part, d.k, num) * w
-    return acc.as_integer().substitute_power(2)
+    for part, count in z.items():
+        acc = acc + graded_char_coinv(part, d.k, num) * count
+    return divide_exact(acc, Poly({0: sum(z.values())})).substitute_power(2)
+
+
+def cycle_index_by_enumeration(d):
+    """{cycle type: number of elements} of the group W <= S_k of the
+    torus-commensurable descriptor ``d``, found by listing W.
+
+    The points are numbered leaf block by leaf block in tree order, then
+    the complement.  W is generated by the adjacent transpositions inside
+    each block and inside the complement, and by the adjacent copy swaps of
+    every ``Wreath`` node; the group is closed by breadth-first search.
+    """
+    swaps = []  # each generator as a tuple of disjoint transpositions
+
+    def walk(u, start):
+        """Add the generators of ``u`` on the points from ``start``; return its width."""
+        if isinstance(u, Block):
+            if u.mult != 1:
+                raise DescriptorError("tensor multiplicity %d" % u.mult)
+            swaps.extend(((i, i + 1),) for i in range(start, start + u.size - 1))
+            return u.size
+        if isinstance(u, Wreath):
+            w = walk(u.inner, start)
+            for c in range(1, u.copies):
+                walk(u.inner, start + c * w)
+                a = start + (c - 1) * w
+                swaps.append(tuple((a + i, a + w + i) for i in range(w)))
+            return u.copies * w
+        width = 0
+        for v in u.units:
+            width += walk(v, start + width)
+        return width
+
+    end = walk(Bunch(d.units), 0)
+    if end + d.complement != d.k:
+        raise DescriptorError("fixed subspace of dimension %d" % (d.k - end - d.complement))
+    swaps.extend(((i, i + 1),) for i in range(end, d.k - 1))
+    gens = []
+    for pairs in swaps:
+        p = list(range(d.k))
+        for a, b in pairs:
+            p[a], p[b] = b, a
+        gens.append(tuple(p))
+    identity = tuple(range(d.k))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = tuple(x[i] for i in g)
+                if y not in group:
+                    group.add(y)
+                    new.append(y)
+        frontier = new
+    return dict(Counter(map(_cycle_type, group)))
+
+
+def _cycle_type(perm):
+    """Cycle lengths of a permutation of range(len(perm)), descending."""
+    seen, lengths = set(), []
+    for i in range(len(perm)):
+        n, j = 0, i
+        while j not in seen:
+            seen.add(j)
+            j, n = perm[j], n + 1
+        if n:
+            lengths.append(n)
+    return tuple(sorted(lengths, reverse=True))
 
 
 # ---------------------------------------------------------------------------

@@ -504,10 +504,10 @@ def test_non_integral_molien_average_exits_6(capsys, monkeypatch):
     index = orbitspace.descriptor_cycle_index
     monkeypatch.setattr(
         orbitspace, "descriptor_cycle_index",
-        lambda d: {part: w / 2 for part, w in index(d).items()},
+        lambda d: {**index(d), (1,) * d.k: 2},  # a second identity
     )
     code, out, err = run(capsys, "poincare", "U(3)/(1)x(2)")
     assert code == 6 and out == ""
-    assert "invariant violation" in err and "non-integral coefficient 1/2" in err
+    assert "invariant violation" in err and "non-integral coefficient 3/2" in err
     assert "U(3)/(1)x(2)" in err and "Traceback" not in err
     cartan.memo.clear()

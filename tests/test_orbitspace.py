@@ -2,17 +2,18 @@
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
 from oracles import (
+    cycle_index_by_enumeration,
     divide_exact,
     flag_poincare_oracle,
     gaussian_binomial,
     graded_char_coinv,
     molien_poincare_oracle,
 )
+from test_cartan import _with_finite_part
 from rankfilt.cache import memo
 from rankfilt.combinat import partitions_into
 from rankfilt.decomp import cube_report
@@ -24,6 +25,8 @@ from rankfilt.orbitspace import (
     OrbitDescriptor,
     Wreath,
     descriptor_cycle_index,
+    finite_part_order,
+    generator_cycle_index,
     molien_poincare,
     parse_descriptor,
     real_dimension,
@@ -131,16 +134,14 @@ def test_molien_matches_the_division_oracle():
 def test_sym_cycle_index_weights():
     for n in range(1, 7):
         z = sym_cycle_index(n)
-        assert sum(z.values()) == Fraction(1)
-        assert 1 / z[(1,) * n] == [1, 1, 2, 6, 24, 120, 720][n]
+        assert all(type(c) is int for c in z.values())
+        assert sum(z.values()) == [1, 1, 2, 6, 24, 120, 720][n]
+        assert z[(1,) * n] == 1 and z[(n,)] == math.factorial(n - 1)
 
 
 def test_wreath_cycle_index_s2_wr_s2():
     d = OrbitDescriptor(4, (Wreath(Wreath(Block(1), 2), 2),), 0)
-    z = descriptor_cycle_index(d)
-    assert 1 / z[(1,) * 4] == 8
-    by_type = {part: w * 8 for part, w in z.items()}
-    assert by_type == {
+    assert descriptor_cycle_index(d) == {
         (1, 1, 1, 1): 1,
         (2, 1, 1): 2,
         (2, 2): 3,
@@ -160,15 +161,30 @@ def _finite_part_order(u):
     return out
 
 
+def _cube_stabilizers(m_max):
+    """Every stabilizer of the plain cubes with m <= ``m_max``."""
+    found = set()
+    for m in range(1, m_max + 1):
+        memo.clear()
+        found.update(d for v in cube_report(m).vertices for _, d, _ in v.chains)
+    memo.clear()
+    return found
+
+
 def test_cycle_index_matches_automorphism_count():
     cases = [
         OrbitDescriptor(4, (Wreath(Block(1), 2), Block(1), Block(1)), 0),
         OrbitDescriptor(4, (Wreath(Bunch((Block(1), Block(1))), 2),), 0),
         OrbitDescriptor(6, (Wreath(Block(2), 2), Wreath(Block(1), 2)), 0),
     ]
+    cases += sorted(_cube_stabilizers(7), key=str) + list(_with_finite_part())
+    commensurable = 0
     for d in cases:
+        assert sum(generator_cycle_index(d).values()) == finite_part_order(d), d
+        if not d.is_torus_commensurable():
+            continue
+        commensurable += 1
         z = descriptor_cycle_index(d)
-        weyl_order = 1 / z[(1,) * d.k]
         finite_part = _finite_part_order(Bunch(d.units))
         block_weyl = 1
         for b in d.blocks():
@@ -179,7 +195,21 @@ def test_cycle_index_matches_automorphism_count():
         comp = 1
         for i in range(1, d.complement + 1):
             comp *= i
-        assert weyl_order == finite_part * block_weyl * comp
+        assert z[(1,) * d.k] == 1
+        assert sum(z.values()) == finite_part * block_weyl * comp, d
+    assert commensurable > 100
+
+
+def test_cycle_index_matches_enumeration():
+    # the counts of W <= S_k by listing W, on every stabilizer of the plain
+    # cubes with m <= 6 and on nested wreaths
+    found = _cube_stabilizers(6) | {parse_descriptor(text) for text in [
+        "U(4)/S2wrS2wr(1)", "U(6)/S3wr(2)", "U(6)/S2wrS3wr(1)", "U(6)/S2wrS2wr(1)x(2)",
+    ]}
+    assert len(found) == 72
+    for d in found:
+        assert d.is_torus_commensurable() and d.k <= 7
+        assert descriptor_cycle_index(d) == cycle_index_by_enumeration(d), d
 
 
 # -- Molien engine -------------------------------------------------------------

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from oracles import divide_exact
@@ -43,11 +41,12 @@ def test_exact_division():
         divide_exact(Poly({0: 1, 1: 1}), Poly({0: 1, 2: 1}))
 
 
-def test_as_integer():
-    p = Poly({0: Fraction(2, 2), 2: Fraction(4, 2)})
-    assert p.as_integer() == Poly({0: 1, 2: 2})
-    with pytest.raises(ArithmeticError):
-        Poly({0: Fraction(1, 2)}).as_integer()
+def test_divide():
+    p = Poly({0: 6, 2: -4}, truncation=3).divide(2)
+    assert p == Poly({0: 3, 2: -2}, truncation=3)
+    assert all(type(c) is int for c in p.coeffs.values())
+    with pytest.raises(ArithmeticError, match="non-integral coefficient -2/3 in degree 2"):
+        Poly({0: 6, 2: -4}).divide(6)
 
 
 def test_palindromic():

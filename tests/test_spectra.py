@@ -203,7 +203,7 @@ def test_endomorphism_coefficients_shape():
     # products of odd generators do land in even degrees (t^3*t^5 = t^8)
     for k in (2, 3, 4):
         p = first_stage_poincare(k, k, cutoff=16)
-        assert p == p.as_integer()
+        assert all(type(c) is int for c in p.coeffs.values())
         for deg, c in p.coeffs.items():
             assert c == 1
             assert deg == 0 or deg >= 3
