@@ -91,7 +91,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from fractions import Fraction
 from operator import add
 
 from .cache import memo
@@ -461,9 +460,9 @@ def check_invariants(d, p):
     b_0 = 1, no negative coefficient, nothing above the real dimension n;
     with connected isotropy U(k)/H is a closed orientable manifold, so the
     top degree is n and ``p`` is palindromic; and the Euler characteristic
-    p(-1) is k!/|W| (``weyl_order``) when rank H_0 = k, else 0.  The
-    isotropy is connected when its finite part G = H / H_0 is trivial,
-    |G| = 1, which holds for every spelling of ``d``, canonical or not.
+    p(-1) is the integer k!/|W| (``weyl_order``, W <= S_k) when
+    rank H_0 = k, else 0.  The isotropy is connected when its finite part
+    G = H / H_0 is trivial, |G| = 1, for every spelling of ``d``.
     """
     n = real_dimension(d)
 
@@ -481,7 +480,7 @@ def check_invariants(d, p):
         fail("Poincare duality fails")
     euler = 0
     if d.is_torus_commensurable():
-        euler = Fraction(math.factorial(d.k), weyl_order(d))
+        euler = math.factorial(d.k) // weyl_order(d)
     chi = sum(c if deg % 2 == 0 else -c for deg, c in p.coeffs.items())
     if chi != euler:
         fail("Euler characteristic %d, not %s," % (chi, euler))

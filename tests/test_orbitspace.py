@@ -109,6 +109,16 @@ def test_graded_char_non_exact_division_raises():
         graded_char_coinv((3,), 3, numerator(2))
 
 
+def _cube_stabilizers(m_max):
+    """Every stabilizer of the plain cubes with m <= ``m_max``."""
+    found = set()
+    for m in range(1, m_max + 1):
+        memo.clear()
+        found.update(d for v in cube_report(m).vertices for _, d, _ in v.chains)
+    memo.clear()
+    return found
+
+
 def test_molien_matches_the_division_oracle():
     # every flag with k <= 8, U(k)/S_k wr(1) for k <= 10, and every
     # stabilizer of the plain cubes with m <= 7
@@ -119,10 +129,7 @@ def test_molien_matches_the_division_oracle():
         for part in partitions_into(k, r)
     ]
     found += [parse_descriptor("U(%d)/S%dwr(1)" % (k, k)) for k in range(1, 11)]
-    for m in range(1, 8):
-        memo.clear()
-        found += [d for v in cube_report(m).vertices for _, d, _ in v.chains]
-    memo.clear()
+    found += _cube_stabilizers(7)
     assert len(set(found)) == 166
     for d in set(found):
         assert molien_poincare(d) == molien_poincare_oracle(d), d
@@ -159,16 +166,6 @@ def _finite_part_order(u):
     for v in u.units:
         out *= _finite_part_order(v)
     return out
-
-
-def _cube_stabilizers(m_max):
-    """Every stabilizer of the plain cubes with m <= ``m_max``."""
-    found = set()
-    for m in range(1, m_max + 1):
-        memo.clear()
-        found.update(d for v in cube_report(m).vertices for _, d, _ in v.chains)
-    memo.clear()
-    return found
 
 
 def test_cycle_index_matches_automorphism_count():
