@@ -37,6 +37,21 @@ fibre is rationally a point, since H*(U(a)/T_a; Q) is the regular
 representation of S_a, so the map is an isomorphism on rational
 cohomology (Serre spectral sequence).  ``_edge`` still checks every edge
 at run time, and a failure is reported as a finding, never auto-corrected.
+
+Work per chain is done once per distinct subtree.  Each ``cube_report``
+call owns three dicts, made when it starts and dropped when it returns, so
+nothing outlives the call:
+
+* ``subtrees``: the chain trees of each (dim, level counts), built by
+  ``_trees`` and shared by the enumeration of every vertex;
+* ``units``: the canonical isotropy unit of each subtree (``_node_unit``),
+  shared by every ``stabilizer`` call;
+* ``appended``: each subtree refined by the lines (``_append_lines``),
+  shared by every edge.
+
+No root repeats within a cube, so ``units`` and ``appended`` store none.
+A vertex's Poincare polynomial is summed as sum(n * P) over its distinct
+polynomials.
 """
 
 from __future__ import annotations
@@ -46,7 +61,7 @@ from dataclasses import dataclass
 
 from . import cartan
 from .combinat import ContractViolation, is_prime_power, partitions_into
-from .orbitspace import Block, Bunch, OrbitDescriptor, Wreath, juxtapose
+from .orbitspace import Block, OrbitDescriptor, Wreath, flatten_units, juxtapose
 from .poly import Poly
 
 
@@ -75,16 +90,26 @@ def connectivity(m):
 # chain types
 
 
-def _canonical_node(dim, children):
-    return (dim, tuple(sorted(children, reverse=True)))
+def _append_lines(node, appended):
+    """Refine the finest level of a chain tree by the full line decomposition.
 
-
-def _append_lines(node):
-    """Refine the finest level of a chain tree by the full line decomposition."""
+    The refinement is strictly increasing on the subtrees of one depth (all
+    leaves or all inner nodes, since leaves sit only on the finest level)
+    and keeps dimensions, so sorted siblings stay sorted and the result is
+    canonical without a sort.  Each refined child is stored in ``appended``,
+    a dict shared over one cube; the node itself is not, as roots never
+    repeat.
+    """
     dim, children = node
     if not children:
-        return (dim, tuple([(1, ())] * dim))
-    return _canonical_node(dim, tuple(_append_lines(c) for c in children))
+        return (dim, ((1, ()),) * dim)
+    refined = []
+    for child in children:
+        got = appended.get(child)
+        if got is None:
+            got = appended[child] = _append_lines(child, appended)
+        refined.append(got)
+    return (dim, tuple(refined))
 
 
 def _node_unit(node, l, units):
@@ -98,79 +123,124 @@ def _node_unit(node, l, units):
     got = units.get(node)
     if got is None:
         dim, children = node
-        if not children:
-            got = Block(dim, l)
-        else:
-            classes = []
-            for child, run in itertools.groupby(children):
-                copies = len(tuple(run))
-                inner = _node_unit(child, l, units)
-                classes.append(inner if copies == 1 else Wreath(inner, copies))
-            got = juxtapose(classes)
+        got = juxtapose(_classes(children, l, units)) if children else Block(dim, l)
         units[node] = got
     return got
 
 
-def enumerate_chain_types(m, subset, forests=None):
+def _classes(children, l, units):
+    """One unit per run of identical sorted siblings, a wreath if it repeats."""
+    classes = []
+    for child, run in itertools.groupby(children):
+        copies = len(tuple(run))
+        inner = _node_unit(child, l, units)
+        classes.append(inner if copies == 1 else Wreath(inner, copies))
+    return classes
+
+
+def enumerate_chain_types(m, subset, subtrees=None):
     """All chain types over C^m with level component counts ``subset``.
 
     ``subset`` is any subset of {2, ..., m}; its elements, in increasing
     order, are the part counts from the coarsest level down.  The empty
     subset yields the single empty chain.  The types come as a sorted tuple
-    of root trees, canonical as ``_forests`` builds them: children sorted,
-    each level spending exactly its count of parts, and leaves only on the
-    finest level, where the recursion ends.  ``forests`` is a dict of
-    sub-forests to share between calls over the same C^m (one cube); a
-    fresh one is used when none is passed.
+    of root trees, canonical as ``_trees`` builds them.  ``subtrees`` is a
+    dict of the trees of each dim and level counts, to share between calls
+    over the same C^m (one cube); a fresh one is used when none is passed.
     """
     subset = sorted(set(subset))
     if any(not 2 <= u <= m for u in subset):
         raise ContractViolation("subset must lie in {2, ..., %d}" % m)
-    if forests is None:
-        forests = {}
-    return tuple(forest[0] for forest in _forests((m,), tuple(subset), forests))
+    if subtrees is None:
+        subtrees = {}
+    return tuple(sorted(_trees(m, tuple(subset), subtrees)))
 
 
-def _forests(dims, counts, memo):
-    """Forests with root dims ``dims`` and global level counts ``counts``.
+def _trees(dim, counts, memo):
+    """Chain trees of dim ``dim`` with ``counts[j]`` nodes on level j + 1
+    below the root, each built once and listed in ``memo[(dim, counts)]``.
 
-    The sorted list is stored in ``memo`` under ``(dims, counts)`` and
-    shared by every later caller, which only iterates it.
+    The root splits into ``counts[0]`` parts, and the children of each
+    split come from ``_children``: each level spends exactly its count,
+    leaves sit only on the finest level, and children are sorted, so every
+    tree is canonical and none is built twice.
     """
-    key = (dims, counts)
-    if key in memo:
-        return memo[key]
-    if not counts:
-        memo[key] = [tuple((d, ()) for d in dims)]
-        return memo[key]
-    target, rest = counts[0], counts[1:]
-    results = set()
+    key = (dim, counts)
+    got = memo.get(key)
+    if got is None:
+        if not counts:
+            got = ((dim, ()),)
+        else:
+            got = []
+            rest = counts[1:]
+            for part in partitions_into(dim, counts[0]):
+                got.extend((dim, children) for children in _children(part, rest, memo))
+        memo[key] = got
+    return got
 
-    def assign(i, budget, chosen):
-        if i == len(dims):
-            if budget:
-                return
-            child_dims = tuple(d for part in chosen for d in part)
-            for sub in _forests(child_dims, rest, memo):
-                forest = []
-                pos = 0
-                for root_dim, part in zip(dims, chosen):
-                    n = len(part)
-                    forest.append(_canonical_node(root_dim, sub[pos:pos + n]))
-                    pos += n
-                results.add(tuple(forest))
-            return
-        d = dims[i]
-        remaining_roots = len(dims) - i - 1
-        for p in range(1, min(d, budget - remaining_roots) + 1):
-            for part in partitions_into(d, p):
-                chosen.append(part)
-                assign(i + 1, budget - p, chosen)
+
+def _children(part, counts, memo):
+    """Descending tuples of chain trees with dims ``part`` (a descending
+    partition) whose level counts add up to ``counts``.
+
+    Children of unequal dims are ordered by dim; a child whose dim equals
+    its left neighbour's takes only trees up to that neighbour's.
+    """
+    out = []
+    n = len(part)
+    rooms = list(itertools.accumulate(reversed(part), initial=0))[::-1]
+    chosen = []
+
+    def fill(i, left):
+        dim = part[i]
+        others = n - i - 1
+        twin = i > 0 and part[i - 1] == dim
+        for own in _profiles(dim, left, others, rooms[i + 1]):
+            rest = tuple(a - b for a, b in zip(left, own))
+            for tree in _trees(dim, own, memo):
+                if twin and tree > chosen[-1]:
+                    continue
+                chosen.append(tree)
+                if others:
+                    fill(i + 1, rest)
+                else:
+                    out.append(tuple(chosen))
                 chosen.pop()
 
-    assign(0, target, [])
-    memo[key] = sorted(results)
-    return memo[key]
+    fill(0, counts)
+    return out
+
+
+def _profiles(dim, left, others, room):
+    """Level counts a child of dim ``dim`` can take out of ``left``, so
+    that ``others`` later children of total dim ``room`` can take the rest.
+
+    A tree's level counts are nondecreasing (every node above the finest
+    level has a child), at least 1 and at most its dim.  So the child takes
+    between ``left[j] - room`` and ``left[j] - others`` on level j, and no
+    more than keeps the rest nondecreasing; the last child takes all.
+    """
+    if not others:
+        return (left,)
+    out = []
+    own = []
+
+    def grow(j):
+        if j == len(left):
+            out.append(tuple(own))
+            return
+        low = max(1, left[j] - room)
+        high = min(dim, left[j] - others)
+        if j:
+            low = max(low, own[-1])
+            high = min(high, own[-1] + left[j] - left[j - 1])
+        for c in range(low, high + 1):
+            own.append(c)
+            grow(j + 1)
+            own.pop()
+
+    grow(0)
+    return out
 
 
 def stabilizer(tree, l=1, k=None, units=None):
@@ -180,16 +250,21 @@ def stabilizer(tree, l=1, k=None, units=None):
     product of the leaf unitary groups.  In general each leaf block picks up
     tensor multiplicity l and a full complement U(k - l*m) appears.  The
     descriptor is canonical as built.  ``units`` is a dict of subtree units
-    for this ``l`` to share between calls over one cube, like ``forests``;
-    a fresh one is used when none is passed.
+    for this ``l`` to share between calls over one cube, like ``subtrees``;
+    a fresh one is used when none is passed.  The root's own unit is not
+    stored there, as roots never repeat: its classes go straight into the
+    descriptor.
     """
-    m = tree[0]
+    m, children = tree
     if k is None:
         k = m * l
     if l < 1 or k < l * m:
         raise ContractViolation("need l >= 1 and k >= l*m")
-    unit = _node_unit(tree, l, {} if units is None else units)
-    return OrbitDescriptor(k, unit.units if isinstance(unit, Bunch) else (unit,), k - l * m)
+    if children:
+        top = flatten_units(_classes(children, l, {} if units is None else units))
+    else:
+        top = (Block(m, l),)
+    return OrbitDescriptor(k, top, k - l * m)
 
 
 # ---------------------------------------------------------------------------
@@ -281,16 +356,17 @@ def _subsets(elements):
     return [s for r in range(len(elements) + 1) for s in itertools.combinations(elements, r)]
 
 
-def _edge(subset, base_chains, extended_chains):
+def _edge(subset, base_chains, extended_chains, appended):
     """The direction-m edge at U = ``subset``: appending the line
     decomposition must be a bijection from the chain types of X(U) onto
-    those of X(U + {m}) that keeps the Poincare polynomial."""
+    those of X(U + {m}) that keeps the Poincare polynomial.  ``appended``
+    is the cube's dict of refined subtrees (``_append_lines``)."""
     extended = {c: p for c, _, p in extended_chains}
     hit = {}
     equal = True
     mismatches = []
     for c, _, p in base_chains:
-        ext = _append_lines(c)
+        ext = _append_lines(c, appended)
         if ext in hit:
             mismatches.append("%s and %s both append to %s" % (
                 _tree_string(hit[ext]), _tree_string(c), _tree_string(ext)))
@@ -325,19 +401,22 @@ def cube_report(m, l=1, k=None, cutoff=None):
         raise ContractViolation("need l >= 1 and k >= l*m")
 
     vertices = {}
-    forests, units = {}, {}
+    subtrees, units, appended = {}, {}, {}
     for subset in _subsets(range(2, m + 1)):
         chains = []
-        total = Poly.zero()
-        for c in enumerate_chain_types(m, subset, forests):
+        # [P, number of chains] by P's id: the memo hands every chain of
+        # one isotropy the same polynomial, so the vertex sum is sum(n * P)
+        counts = {}
+        for c in enumerate_chain_types(m, subset, subtrees):
             desc = stabilizer(c, l, k, units)
             p = cartan.poincare(desc, cutoff=cutoff)
             chains.append((c, desc, p))
-            total = total + p
+            counts.setdefault(id(p), [p, 0])[1] += 1
+        total = sum((p * n for p, n in counts.values()), Poly.zero())
         vertices[subset] = CubeVertex(subset, tuple(chains), total)
 
     edges = tuple(
-        _edge(subset, vertices[subset].chains, vertices[subset + (m,)].chains)
+        _edge(subset, vertices[subset].chains, vertices[subset + (m,)].chains, appended)
         for subset in (_subsets(range(2, m)) if m > 1 else [])
     )
 

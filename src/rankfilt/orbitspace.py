@@ -75,6 +75,19 @@ class NotTorusCommensurable(ValueError):
 # descriptor structure
 
 
+# Every unit node carries three sums over its leaves, set once when it is
+# built: ``dim`` = sum(size * mult), the dimension it acts on; ``rank`` =
+# sum(size), the rank of its identity component; and ``key``, its sort key
+# among juxtaposed units.  A wreath multiplies its inner sums by ``copies``,
+# so no sum walks the leaves.
+
+
+def _set_sums(u, dim, rank, key):
+    object.__setattr__(u, "dim", dim)
+    object.__setattr__(u, "rank", rank)
+    object.__setattr__(u, "key", key)
+
+
 @dataclass(frozen=True)
 class Block:
     size: int
@@ -83,6 +96,7 @@ class Block:
     def __post_init__(self):
         if self.size < 1 or self.mult < 1:
             raise DescriptorError("block sizes and multiplicities must be >= 1")
+        _set_sums(self, self.size * self.mult, self.size, (0, self.size, self.mult))
 
 
 @dataclass(frozen=True)
@@ -95,6 +109,9 @@ class Wreath:
     def __post_init__(self):
         if self.copies < 1:
             raise DescriptorError("wreath copy count must be >= 1")
+        inner = self.inner
+        _set_sums(self, self.copies * inner.dim, self.copies * inner.rank,
+                  (1, self.copies, inner.key))
 
 
 @dataclass(frozen=True)
@@ -102,6 +119,11 @@ class Bunch:
     """Juxtaposed units with no symmetry between them."""
 
     units: tuple
+
+    def __post_init__(self):
+        units = self.units
+        _set_sums(self, sum(v.dim for v in units), sum(v.rank for v in units),
+                  (2, len(units)) + tuple(v.key for v in units))
 
 
 def _unit_leaves(u, out):
@@ -117,14 +139,6 @@ def _unit_leaves(u, out):
         raise DescriptorError("unknown unit %r" % (u,))
 
 
-def _unit_key(u):
-    if isinstance(u, Block):
-        return (0, u.size, u.mult)
-    if isinstance(u, Wreath):
-        return (1, u.copies) + (_unit_key(u.inner),)
-    return (2, len(u.units)) + tuple(_unit_key(v) for v in u.units)
-
-
 def _canonical_unit(u):
     if isinstance(u, Block):
         return u
@@ -138,21 +152,26 @@ def _canonical_unit(u):
     raise DescriptorError("unknown unit %r" % (u,))
 
 
-def juxtapose(units):
-    """Canonical juxtaposition of canonical units: a lone unit stands for
-    itself, nested bunches are flattened, and the rest sorted by key."""
-    if len(units) == 1:
-        return units[0]
+def flatten_units(units):
+    """The top-level units of a canonical juxtaposition of canonical units:
+    nested bunches flattened, the rest sorted by key, as a tuple."""
     flat = []
     for v in units:
         if isinstance(v, Bunch):
             flat.extend(v.units)
         else:
             flat.append(v)
-    flat.sort(key=_unit_key)
-    if len(flat) == 1:
-        return flat[0]
-    return Bunch(tuple(flat))
+    flat.sort(key=lambda v: v.key)
+    return tuple(flat)
+
+
+def juxtapose(units):
+    """Canonical juxtaposition of canonical units: a lone unit stands for
+    itself, and otherwise the ``flatten_units`` in a bunch."""
+    if len(units) == 1:
+        return units[0]
+    flat = flatten_units(units)
+    return flat[0] if len(flat) == 1 else Bunch(flat)
 
 
 @dataclass(frozen=True)
@@ -175,7 +194,10 @@ class OrbitDescriptor:
 
     @property
     def fixed(self):
-        return self.k - sum(b.size * b.mult for b in self.blocks()) - self.complement
+        """Dimension of the subspace H fixes: k less the complement and the
+        size sums ``dim`` of the top-level units (each block size * mult, each
+        wreath copies * inner), so no leaf is walked."""
+        return self.k - sum(u.dim for u in self.units) - self.complement
 
     def blocks(self):
         """Leaf blocks (size, mult) in tree order."""
@@ -185,8 +207,7 @@ class OrbitDescriptor:
         return out
 
     def canonicalize(self):
-        cu = _canonical_unit(Bunch(self.units))
-        units = cu.units if isinstance(cu, Bunch) else (cu,)
+        units = flatten_units([_canonical_unit(u) for u in self.units])
         return OrbitDescriptor(self.k, units, self.complement)
 
     def canonical_string(self):
@@ -200,8 +221,15 @@ class OrbitDescriptor:
         return "U(%d)/%s" % (d.k, body)
 
     def is_torus_commensurable(self):
-        """True when the identity component of H contains a maximal torus of U(k)."""
-        return self.fixed == 0 and all(b.mult == 1 for b in self.blocks())
+        """True when the identity component of H contains a maximal torus of U(k):
+        no fixed part and every block of tensor multiplicity 1.
+
+        Read off the size sum ``rank`` = sum(size) of the units, with no leaf
+        walk: every mult is >= 1 and the fixed part is >= 0 (checked at
+        construction), so sum(size) <= sum(size * mult) <= k - complement,
+        with equality throughout exactly when every mult is 1 and nothing is
+        fixed."""
+        return sum(u.rank for u in self.units) == self.k - self.complement
 
     def __str__(self):
         return self.canonical_string()
@@ -273,9 +301,7 @@ def parse_descriptor(text):
     if not sc.done():
         raise DescriptorError("trailing input at position %d in %r" % (sc.pos, sc.text))
     if complement is None:
-        leaves = []
-        _unit_leaves(Bunch(tuple(units)), leaves)
-        complement = k - sum(b.size * b.mult for b in leaves)
+        complement = k - sum(u.dim for u in units)
         if complement < 0:
             raise DescriptorError("blocks overfill U(%d)" % k)
     return OrbitDescriptor(k, tuple(units), complement).canonicalize()
@@ -440,15 +466,23 @@ def _generator_leaf(size):
     return {tuple(range(size, 0, -1)): 1}
 
 
-def _unit_cycle_index(u, leaf):
+class _SymIndices(dict):
+    """Cycle indices of S_n by n, each built on first use, for one call."""
+
+    def __missing__(self, n):
+        z = self[n] = sym_cycle_index(n)
+        return z
+
+
+def _unit_cycle_index(u, leaf, sym):
     if isinstance(u, Block):
         return leaf(u)
     if isinstance(u, Wreath):
-        return ci_plethysm(sym_cycle_index(u.copies), _unit_cycle_index(u.inner, leaf))
+        return ci_plethysm(sym[u.copies], _unit_cycle_index(u.inner, leaf, sym))
     if isinstance(u, Bunch):
         z = {(): 1}
         for v in u.units:
-            z = ci_product(z, _unit_cycle_index(v, leaf))
+            z = ci_product(z, _unit_cycle_index(v, leaf, sym))
         return z
     raise DescriptorError("unknown unit %r" % (u,))
 
@@ -458,13 +492,16 @@ def descriptor_cycle_index(d):
 
     W is generated by the symmetric groups inside each block and the
     complement, extended by the finite part permuting identical blocks.
+    Each S_n index is built once per call, however many blocks, wreaths
+    and complements share its n.
     """
     if not d.is_torus_commensurable():
         raise NotTorusCommensurable(
             "not torus-commensurable: %s" % d.canonical_string()
         )
-    units = _unit_cycle_index(Bunch(d.units), lambda b: sym_cycle_index(b.size))
-    return ci_product(sym_cycle_index(d.complement), units)
+    sym = _SymIndices()
+    units = _unit_cycle_index(Bunch(d.units), lambda b: sym[b.size], sym)
+    return ci_product(sym[d.complement], units)
 
 
 def generator_cycle_index(d):
@@ -478,7 +515,8 @@ def generator_cycle_index(d):
     count divided by prod (1 - q^m).  Tensor multiplicities and a
     fixed subspace change no generator, so every descriptor has this index.
     """
-    units = _unit_cycle_index(Bunch(d.units), lambda b: _generator_leaf(b.size))
+    units = _unit_cycle_index(
+        Bunch(d.units), lambda b: _generator_leaf(b.size), _SymIndices())
     return ci_product(_generator_leaf(d.complement), units)
 
 

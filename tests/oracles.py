@@ -47,12 +47,23 @@ that shares no code with the engine it checks:
   engine ranks nothing here: it takes rho_1..rho_r as the minimal
   generators by the theorem in the ``cartan`` module docstring, which this
   oracle checks.
+* ``fixed_oracle`` and ``torus_commensurable_oracle`` read the fixed
+  dimension and torus-commensurability off the list of leaf blocks
+  (``OrbitDescriptor.blocks``).  ``OrbitDescriptor.fixed`` and
+  ``is_torus_commensurable`` take them from the size sums stored on the
+  top-level units and list no leaf.
 * ``check_chain_tree`` validates a chain tree in one walk over its levels:
   the root has the ambient dimension, every node's children are sorted
   descending and sum to its dimension, part counts strictly increase
   downward and every leaf sits on the finest level.  ``decomp`` checks
   none of this at run time, because ``_forests`` builds every tree that
   way; the tests run this check on every tree the enumerator yields.
+* ``chain_types_oracle`` lists chain types by the level-wide forest
+  search: each root of a level takes a partition, a forest is kept when
+  the parts add up to the level's count, and each forest is sorted as it
+  is stored.  ``decomp._trees`` builds one tree at a time from its level
+  counts, bounds each child's counts by what its later siblings can take,
+  and sorts only the root trees it returns.
 * ``canonical_chain_type``, ``level_counts`` and ``leaves`` build a
   checked chain tree from an unsorted one and read its component counts
   per level and its leaf dimensions, for the tests of the chain trees and
@@ -75,7 +86,7 @@ from fractions import Fraction
 from operator import add
 
 from rankfilt.cartan import InvariantViolation
-from rankfilt.combinat import ContractViolation, IndexTuple
+from rankfilt.combinat import ContractViolation, IndexTuple, partitions_into
 from rankfilt.linalg import sparse_rank
 from rankfilt.orbitspace import (
     Block,
@@ -333,6 +344,21 @@ def full_ring_minimal_generators(kc):
 
 
 # ---------------------------------------------------------------------------
+# descriptor size sums
+
+
+def fixed_oracle(d):
+    """The fixed dimension of ``d`` from its list of leaf blocks."""
+    return d.k - sum(b.size * b.mult for b in d.blocks()) - d.complement
+
+
+def torus_commensurable_oracle(d):
+    """No fixed part and every leaf block of tensor multiplicity 1, read
+    off the list of leaf blocks."""
+    return fixed_oracle(d) == 0 and all(b.mult == 1 for b in d.blocks())
+
+
+# ---------------------------------------------------------------------------
 # chain trees
 
 
@@ -392,6 +418,51 @@ def stabilizer_oracle(tree, l=1, k=None):
     if k is None:
         k = m * l
     return OrbitDescriptor(k, (unit(tree),), k - l * m).canonicalize()
+
+
+def chain_types_oracle(m, subset, forests):
+    """The chain types of ``decomp.enumerate_chain_types`` by the level-wide
+    forest search: every root of a level takes a partition, the budget of
+    parts is checked only once all roots have one, and every forest is
+    sorted as it is stored.  ``forests`` is shared like the engine's dict."""
+    return tuple(forest[0] for forest in _forests((m,), tuple(sorted(set(subset))), forests))
+
+
+def _forests(dims, counts, memo):
+    key = (dims, counts)
+    if key in memo:
+        return memo[key]
+    if not counts:
+        memo[key] = [tuple((d, ()) for d in dims)]
+        return memo[key]
+    target, rest = counts[0], counts[1:]
+    results = set()
+
+    def assign(i, budget, chosen):
+        if i == len(dims):
+            if budget:
+                return
+            child_dims = tuple(d for part in chosen for d in part)
+            for sub in _forests(child_dims, rest, memo):
+                forest = []
+                pos = 0
+                for root_dim, part in zip(dims, chosen):
+                    n = len(part)
+                    forest.append((root_dim, tuple(sorted(sub[pos:pos + n], reverse=True))))
+                    pos += n
+                results.add(tuple(forest))
+            return
+        d = dims[i]
+        remaining_roots = len(dims) - i - 1
+        for p in range(1, min(d, budget - remaining_roots) + 1):
+            for part in partitions_into(d, p):
+                chosen.append(part)
+                assign(i + 1, budget - p, chosen)
+                chosen.pop()
+
+    assign(0, target, [])
+    memo[key] = sorted(results)
+    return memo[key]
 
 
 def level_counts(tree):

@@ -8,6 +8,7 @@ import pytest
 
 from oracles import (
     canonical_chain_type,
+    chain_types_oracle,
     check_chain_tree,
     leaves,
     level_counts,
@@ -179,6 +180,20 @@ def test_shared_sub_forests_match_fresh_enumeration():
                 assert shared == enumerate_chain_types(m, subset), (m, subset)
 
 
+def test_chain_types_match_the_forest_search():
+    # one dict per m on each side, shared by every subset as cube_report does
+    totals = {}
+    for m in range(1, 9):
+        subtrees, forests = {}, {}
+        totals[m] = 0
+        for size in range(m):
+            for subset in combinations(range(2, m + 1), size):
+                chains = enumerate_chain_types(m, subset, subtrees)
+                assert chains == chain_types_oracle(m, subset, forests), (m, subset)
+                totals[m] += len(chains)
+    assert totals[7] == 936 and totals[8] == 5820
+
+
 def test_append_and_strip_are_inverse():
     # appending applies to chains whose finest level is coarser than lines,
     # i.e. to vertices whose subset does not contain m; it is injective on
@@ -188,8 +203,9 @@ def test_append_and_strip_are_inverse():
             for subset in combinations(range(2, m), size):
                 chains = enumerate_chain_types(m, subset)
                 appended = set()
+                refined = {}
                 for c in chains:
-                    ext = _append_lines(c)
+                    ext = _append_lines(c, refined)
                     assert level_counts(ext) == level_counts(c) + [m]
                     assert all(d == 1 for d in leaves(ext))
                     appended.add(ext)
@@ -201,12 +217,13 @@ def test_enumerated_and_appended_trees_are_valid_chain_trees():
     # and level-complete, and appending the lines keeps it so on every base
     # vertex of a cube edge (m >= 2, m not in U)
     for m in range(1, 9):
+        refined = {}
         for size in range(m):
             for subset in combinations(range(2, m + 1), size):
                 for c in enumerate_chain_types(m, subset):
                     assert check_chain_tree(m, c) is c
                     if 1 < m and m not in subset:
-                        check_chain_tree(m, _append_lines(c))
+                        check_chain_tree(m, _append_lines(c, refined))
 
 
 def test_chain_type_validation():
@@ -267,7 +284,7 @@ def test_stabilizer_connected_part_of_extended_chain_is_torus():
     for m in (2, 3, 4):
         for subset in [(), (2,)]:
             for c in enumerate_chain_types(m, set(s for s in subset if 2 <= s < m)):
-                d = stabilizer(_append_lines(c))
+                d = stabilizer(_append_lines(c, {}))
                 assert all(b.size == 1 and b.mult == 1 for b in d.blocks())
                 assert len(d.blocks()) == m
 
@@ -376,9 +393,11 @@ def test_two_chains_appending_to_one_tree_are_reported_not_raised(monkeypatch):
     append = decomp._append_lines
     base = enumerate_chain_types(4, (2,))
     assert _tree_string(base[0]) == "4[2,2]" and _tree_string(base[1]) == "4[3,1]"
-    collide = append(base[0])
+    collide = append(base[0], {})
     monkeypatch.setattr(
-        decomp, "_append_lines", lambda node: collide if node in base else append(node)
+        decomp,
+        "_append_lines",
+        lambda node, appended: collide if node in base else append(node, appended),
     )
     r = cube_report(4)
     assert not r.verified

@@ -33,6 +33,7 @@ def test_cli_output_is_unchanged(case, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv, sha1",
     [
+        ("cube 8 --allow-large --json", "54cbe9e1636c3629ec9324eabe0d74c97e06439a"),
         ("cube 7 --allow-large --json", "1fe15812139ea3113378b442bafe8ab798d09f67"),
         ("cube 4 --l 2 --k 10 --allow-large --json", "9c875f58759db0dab99e652d739938ce71beb3b8"),
         ("cube 3 --l 3 --k 12 --json", "a821596603de5fcdc2cb4c0a3b5056e6c02e13bd"),

@@ -1,6 +1,8 @@
 """Molien engine, flag oracle, cycle indices, and the descriptor grammar."""
 
+import importlib
 import math
+import os
 import random
 
 import pytest
@@ -8,10 +10,12 @@ import pytest
 from oracles import (
     cycle_index_by_enumeration,
     divide_exact,
+    fixed_oracle,
     flag_poincare_oracle,
     gaussian_binomial,
     graded_char_coinv,
     molien_poincare_oracle,
+    torus_commensurable_oracle,
 )
 from test_cartan import _with_finite_part
 from rankfilt.cache import memo
@@ -207,6 +211,42 @@ def test_cycle_index_matches_enumeration():
     for d in found:
         assert d.is_torus_commensurable() and d.k <= 7
         assert descriptor_cycle_index(d) == cycle_index_by_enumeration(d), d
+
+
+def test_size_sums_match_the_leaf_lists(monkeypatch):
+    # fixed and is_torus_commensurable read the size sums of the top-level
+    # units; the oracles walk every leaf block
+    found = set(_cube_stabilizers(6))
+    for m, l, k in [(3, 2, 8), (4, 2, 10), (3, 3, 12)]:
+        memo.clear()
+        found.update(d for v in cube_report(m, l, k).vertices for _, d, _ in v.chains)
+    memo.clear()
+    # every spelling of the cache-stream benchmark pool
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+    spellings = [text for _, texts in importlib.import_module("cases").pool() for text in texts]
+    assert len(spellings) == 132
+    found.update(parse_descriptor(text) for text in spellings)
+    # fixed parts, tensor multiplicities and nested wreaths, by hand
+    found.update(_with_finite_part())
+    found.update([
+        OrbitDescriptor(6, (Block(2), Block(1)), 1),
+        OrbitDescriptor(9, (Wreath(Block(1, 2), 2), Block(2)), 1),
+        OrbitDescriptor(9, (Wreath(Wreath(Block(1), 2), 2), Block(2, 2)), 0),
+        OrbitDescriptor(14, (Wreath(Bunch((Block(1), Wreath(Block(1, 3), 2))), 2),), 0),
+        OrbitDescriptor(12, (Wreath(Bunch((Block(2), Wreath(Block(1), 3))), 2),), 1),
+        parse_descriptor("U(8)/S2wrS2wr(2)"),
+        parse_descriptor("U(7)/S2wr{(1)xS2wr(1)}xU(0)"),
+    ])
+    kinds = set()
+    for d in found:
+        assert d.fixed == fixed_oracle(d), d
+        assert d.is_torus_commensurable() == torus_commensurable_oracle(d), d
+        kinds.add((d.fixed > 0, any(b.mult > 1 for b in d.blocks()), d.is_torus_commensurable()))
+    # every way to fail commensurability is met, and commensurable ones too
+    assert kinds >= {(True, False, False), (False, True, False), (True, True, False),
+                     (False, False, True)}
+    with pytest.raises(DescriptorError):
+        OrbitDescriptor(5, (Wreath(Bunch((Block(1), Block(1, 2))), 2),), 0)
 
 
 # -- Molien engine -------------------------------------------------------------
