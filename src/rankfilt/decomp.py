@@ -174,7 +174,7 @@ def _trees(dim, counts, memo):
             got = []
             rest = counts[1:]
             for part in partitions_into(dim, counts[0]):
-                got.extend((dim, children) for children in _children(part, rest, memo))
+                got.extend([(dim, children) for children in _children(part, rest, memo)])
         memo[key] = got
     return got
 
@@ -184,27 +184,35 @@ def _children(part, counts, memo):
     partition) whose level counts add up to ``counts``.
 
     Children of unequal dims are ordered by dim; a child whose dim equals
-    its left neighbour's takes only trees up to that neighbour's.
+    its left neighbour's takes only trees up to that neighbour's.  Each
+    child but the last takes level counts from ``_profiles``, and the last
+    takes what is left.
     """
+    last = len(part) - 1
+    if not last:
+        return [(tree,) for tree in _trees(part[0], counts, memo)]
     out = []
-    n = len(part)
     rooms = list(itertools.accumulate(reversed(part), initial=0))[::-1]
     chosen = []
 
     def fill(i, left):
         dim = part[i]
-        others = n - i - 1
         twin = i > 0 and part[i - 1] == dim
-        for own in _profiles(dim, left, others, rooms[i + 1]):
-            rest = tuple(a - b for a, b in zip(left, own))
+        for own in _profiles(dim, left, last - i, rooms[i + 1]):
+            rest = tuple([a - b for a, b in zip(left, own)])
             for tree in _trees(dim, own, memo):
                 if twin and tree > chosen[-1]:
                     continue
                 chosen.append(tree)
-                if others:
+                if i + 1 < last:
                     fill(i + 1, rest)
                 else:
-                    out.append(tuple(chosen))
+                    head = tuple(chosen)
+                    tails = _trees(part[last], rest, memo)
+                    if part[last] == dim:
+                        out.extend([head + (t,) for t in tails if t <= tree])
+                    else:
+                        out.extend([head + (t,) for t in tails])
                 chosen.pop()
 
     fill(0, counts)
@@ -218,29 +226,18 @@ def _profiles(dim, left, others, room):
     A tree's level counts are nondecreasing (every node above the finest
     level has a child), at least 1 and at most its dim.  So the child takes
     between ``left[j] - room`` and ``left[j] - others`` on level j, and no
-    more than keeps the rest nondecreasing; the last child takes all.
+    more than keeps the rest nondecreasing.
     """
-    if not others:
-        return (left,)
-    out = []
-    own = []
-
-    def grow(j):
-        if j == len(left):
-            out.append(tuple(own))
-            return
-        low = max(1, left[j] - room)
-        high = min(dim, left[j] - others)
+    found = [()]
+    for j, n in enumerate(left):
+        low, high = max(1, n - room), min(dim, n - others)
         if j:
-            low = max(low, own[-1])
-            high = min(high, own[-1] + left[j] - left[j - 1])
-        for c in range(low, high + 1):
-            own.append(c)
-            grow(j + 1)
-            own.pop()
-
-    grow(0)
-    return out
+            step = n - left[j - 1]
+            found = [own + (c,) for own in found
+                     for c in range(max(low, own[-1]), min(high, own[-1] + step) + 1)]
+        else:
+            found = [(c,) for c in range(low, high + 1)]
+    return found
 
 
 def stabilizer(tree, l=1, k=None, units=None):
@@ -364,23 +361,30 @@ def _edge(subset, base_chains, extended_chains, appended):
     extended = {c: p for c, _, p in extended_chains}
     hit = {}
     equal = True
+    partnerless = False
     mismatches = []
     for c, _, p in base_chains:
         ext = _append_lines(c, appended)
-        if ext in hit:
+        first = hit.setdefault(ext, c)
+        if first is not c:
             mismatches.append("%s and %s both append to %s" % (
-                _tree_string(hit[ext]), _tree_string(c), _tree_string(ext)))
-        hit[ext] = c
+                _tree_string(first), _tree_string(c), _tree_string(ext)))
+            hit[ext] = c
         q = extended.get(ext)
         if q is None:
+            partnerless = True
             mismatches.append("no partner for %s" % _tree_string(ext))
         elif not p.agrees(q):
             equal = False
             mismatches.append("P(%s) = %s but P(%s) = %s" % (
                 _tree_string(c), p.pretty(), _tree_string(ext), q.pretty()))
-    mismatches.extend(
-        "unmatched extended type %s" % _tree_string(t) for t in extended if t not in hit)
-    matched = len(hit) == len(base_chains) and hit.keys() == extended.keys()
+    # every hit tree was looked up in ``extended``: with none partnerless,
+    # the hit trees are all extended types, and all of them when the sizes
+    # agree (injective: as many hit trees as base chains)
+    matched = not partnerless and len(hit) == len(base_chains) == len(extended)
+    if not matched:
+        mismatches.extend(
+            "unmatched extended type %s" % _tree_string(t) for t in extended if t not in hit)
     return EdgeVerdict(subset, matched, equal, tuple(mismatches))
 
 

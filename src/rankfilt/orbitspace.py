@@ -79,13 +79,18 @@ class NotTorusCommensurable(ValueError):
 # built: ``dim`` = sum(size * mult), the dimension it acts on; ``rank`` =
 # sum(size), the rank of its identity component; and ``key``, its sort key
 # among juxtaposed units.  A wreath multiplies its inner sums by ``copies``,
-# so no sum walks the leaves.
+# so no sum walks the leaves.  The key determines the unit, so units hash
+# by their key.
 
 
 def _set_sums(u, dim, rank, key):
     object.__setattr__(u, "dim", dim)
     object.__setattr__(u, "rank", rank)
     object.__setattr__(u, "key", key)
+
+
+def _hash_key(u):
+    return hash(u.key)
 
 
 @dataclass(frozen=True)
@@ -97,6 +102,8 @@ class Block:
         if self.size < 1 or self.mult < 1:
             raise DescriptorError("block sizes and multiplicities must be >= 1")
         _set_sums(self, self.size * self.mult, self.size, (0, self.size, self.mult))
+
+    __hash__ = _hash_key
 
 
 @dataclass(frozen=True)
@@ -113,6 +120,8 @@ class Wreath:
         _set_sums(self, self.copies * inner.dim, self.copies * inner.rank,
                   (1, self.copies, inner.key))
 
+    __hash__ = _hash_key
+
 
 @dataclass(frozen=True)
 class Bunch:
@@ -124,6 +133,8 @@ class Bunch:
         units = self.units
         _set_sums(self, sum(v.dim for v in units), sum(v.rank for v in units),
                   (2, len(units)) + tuple(v.key for v in units))
+
+    __hash__ = _hash_key
 
 
 def _unit_leaves(u, out):

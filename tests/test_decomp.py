@@ -389,6 +389,24 @@ def test_missing_extended_chain_is_reported_not_raised(monkeypatch):
     assert base.mismatches == ("no partner for 3[1,1,1]",)
 
 
+def test_unhit_extended_chain_is_reported_not_raised(monkeypatch):
+    # every base chain finds its own partner, but one extended type is hit
+    # by none: the edge is not onto
+    enumerate_all = decomp.enumerate_chain_types
+
+    def drop_one(m, subset, *args):
+        chains = enumerate_all(m, subset, *args)
+        return chains[1:] if subset == (2,) else chains
+
+    monkeypatch.setattr(decomp, "enumerate_chain_types", drop_one)
+    r = cube_report(4)
+    assert not r.verified
+    edge = next(e for e in r.edges if e.subset == (2,))
+    assert not edge.matched and edge.equal
+    assert edge.mismatches == ("unmatched extended type 4[2[1,1],2[1,1]]",)
+    assert all(e.ok for e in r.edges if e.subset != (2,))
+
+
 def test_two_chains_appending_to_one_tree_are_reported_not_raised(monkeypatch):
     append = decomp._append_lines
     base = enumerate_chain_types(4, (2,))
