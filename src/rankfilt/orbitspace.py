@@ -178,7 +178,8 @@ def flatten_units(units):
 
 def juxtapose(units):
     """Canonical juxtaposition of canonical units: a lone unit stands for
-    itself, and otherwise the ``flatten_units`` in a bunch."""
+    itself; otherwise ``flatten_units`` gives the units of a bunch, and a
+    lone one of those stands for itself."""
     if len(units) == 1:
         return units[0]
     flat = flatten_units(units)

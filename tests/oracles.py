@@ -56,7 +56,7 @@ that shares no code with the engine it checks:
   the root has the ambient dimension, every node's children are sorted
   descending and sum to its dimension, part counts strictly increase
   downward and every leaf sits on the finest level.  ``decomp`` checks
-  none of this at run time, because ``_forests`` builds every tree that
+  none of this at run time, because ``_trees`` builds every tree that
   way; the tests run this check on every tree the enumerator yields.
 * ``chain_types_oracle`` lists chain types by the level-wide forest
   search: each root of a level takes a partition, a forest is kept when

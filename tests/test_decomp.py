@@ -173,10 +173,10 @@ def test_chain_level_counts_and_leaves():
 def test_shared_sub_forests_match_fresh_enumeration():
     # one dict shared by every subset of a cube, as cube_report passes it
     for m in range(1, 8):
-        forests = {}
+        subtrees = {}
         for size in range(m):
             for subset in combinations(range(2, m + 1), size):
-                shared = enumerate_chain_types(m, subset, forests)
+                shared = enumerate_chain_types(m, subset, subtrees)
                 assert shared == enumerate_chain_types(m, subset), (m, subset)
 
 
@@ -213,7 +213,7 @@ def test_append_and_strip_are_inverse():
 
 
 def test_enumerated_and_appended_trees_are_valid_chain_trees():
-    # decomp checks no tree at run time: _forests builds every one canonical
+    # decomp checks no tree at run time: _trees builds every one canonical
     # and level-complete, and appending the lines keeps it so on every base
     # vertex of a cube edge (m >= 2, m not in U)
     for m in range(1, 9):
@@ -369,7 +369,7 @@ def test_cube_report_keeps_no_state_between_runs():
     second = cube_report(6)
     assert second.to_json() == first.to_json()
     assert _module_state() == state
-    # the sub-forests are rebuilt, not kept from the first run
+    # the subtrees are rebuilt, not kept from the first run
     trees = {id(c) for v in first.vertices for c, _, _ in v.chains}
     assert not any(id(c) in trees for v in second.vertices for c, _, _ in v.chains)
 
