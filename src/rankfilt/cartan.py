@@ -249,7 +249,6 @@ class KoszulComplex:
 
         self._mono_cache = {}
         self._ext_cache = {}
-        self._rank_cache = {}
         self._basis_cache = {}
 
     # -- construction ---------------------------------------------------
@@ -375,12 +374,7 @@ class KoszulComplex:
         return rows
 
     def differential_rank(self, degree, invariants=True):
-        key = (degree, self._orbits(invariants))
-        got = self._rank_cache.get(key)
-        if got is None:
-            got = sparse_rank(self._image_rows(degree, invariants))
-            self._rank_cache[key] = got
-        return got
+        return sparse_rank(self._image_rows(degree, invariants))
 
     def dims(self, cutoff, invariants=True):
         """Dimensions of the graded pieces of the (invariant) complex."""

@@ -32,7 +32,6 @@ import functools
 import json
 import os
 import sys
-import time
 
 from . import cartan, combinat, decomp, spectra
 from .combinat import ContractViolation
@@ -97,7 +96,6 @@ class ResultCache:
             "value": poly.to_map(),
             "truncation": poly.truncation,
             "engine_version": ENGINE_VERSION,
-            "timestamp": int(time.time()),
         }
         self.dirty = True
 
@@ -165,12 +163,12 @@ def cmd_summands(args):
     elif args.csv:
         rows = [["index"] + ["m%d" % (i + 1) for i in range(t)] + ["rank"]]
         for i, it in enumerate(ss):
-            rows.append([i] + list(it.entries) + [it.rank])
+            rows.append([i] + list(it) + [sum(it)])
         emit_csv(rows)
     else:
         print("summands k=%d l=%d t=%d (%s): %d" % (k, l, t, mode, len(ss)))
         for it in ss:
-            print("  (%s)  rank %d" % (", ".join(map(str, it.entries)), it.rank))
+            print("  (%s)  rank %d" % (", ".join(map(str, it)), sum(it)))
         if l > k:
             print("  note: l>k, the mapping spectrum is contractible")
     return EXIT_OK

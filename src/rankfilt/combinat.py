@@ -7,6 +7,10 @@ a non-basepoint summand exists only when l * rank <= k, so the filtration
 stage bound is always clipped to floor(k / l).  The all-zero tuple is the
 basepoint and is never stored in a summand set.
 
+An index tuple is a plain tuple of ints.  The context it lives in (k, l,
+the length t and the stage bound ``max_rank``) is stored once, on the
+``SummandSet`` that holds it, and the set checks every tuple against it.
+
 ``max_rank=None`` throughout means the unfiltered functor (stage infinity),
 which internally coincides with stage floor(k / l).
 
@@ -27,46 +31,13 @@ class ContractViolation(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# index tuples and summand sets
-
-
-@dataclass(frozen=True)
-class IndexTuple:
-    """An ordered tuple of multiplicities labelling a wedge summand over (k, l)."""
-
-    entries: tuple
-    k: int
-    l: int
-
-    def __post_init__(self):
-        if self.k < 1 or self.l < 1:
-            raise ContractViolation("ambient ranks must be >= 1")
-        if any(m < 0 for m in self.entries):
-            raise ContractViolation("negative multiplicity")
-        r = self.rank
-        if r > 0 and self.l * r > self.k:
-            raise ContractViolation(
-                "tuple of rank %d cannot label a summand: %d * %d > %d" % (r, self.l, r, self.k)
-            )
-
-    @property
-    def rank(self):
-        return sum(self.entries)
-
-    @property
-    def is_basepoint(self):
-        return self.rank == 0
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
+# summand sets
 
 
 @dataclass(frozen=True)
 class SummandSet:
-    """A canonically (lexicographically) ordered set of non-basepoint index tuples."""
+    """Non-basepoint index tuples over (k, l), each of length t, in strictly
+    increasing lexicographic order (so no tuple is stored twice)."""
 
     k: int
     l: int
@@ -75,19 +46,24 @@ class SummandSet:
     tuples: tuple = field(default=())
 
     def __post_init__(self):
-        seen = set()
+        if self.k < 1 or self.l < 1:
+            raise ContractViolation("ambient ranks must be >= 1")
         prev = None
         for it in self.tuples:
-            if it.is_basepoint:
-                raise ContractViolation("basepoint tuple stored in a summand set")
             if len(it) != self.t:
                 raise ContractViolation("tuple length differs from t")
-            if it.entries in seen:
-                raise ContractViolation("duplicate tuple in summand set")
-            if prev is not None and not prev < it.entries:
-                raise ContractViolation("summand set not in lexicographic order")
-            seen.add(it.entries)
-            prev = it.entries
+            if any(m < 0 for m in it):
+                raise ContractViolation("negative multiplicity")
+            r = sum(it)
+            if r == 0:
+                raise ContractViolation("basepoint tuple stored in a summand set")
+            if self.l * r > self.k:
+                raise ContractViolation(
+                    "tuple of rank %d cannot label a summand: %d * %d > %d" % (r, self.l, r, self.k)
+                )
+            if prev is not None and not prev < it:
+                raise ContractViolation("summand set not strictly in lexicographic order")
+            prev = it
 
     def __len__(self):
         return len(self.tuples)
@@ -101,7 +77,7 @@ class SummandSet:
             "l": self.l,
             "t": self.t,
             "max_rank": self.max_rank,
-            "tuples": [list(it.entries) for it in self.tuples],
+            "tuples": [list(it) for it in self.tuples],
         }
 
 
@@ -148,10 +124,7 @@ def enumerate_summands(k, l, t, max_rank=None):
     """All non-basepoint tuples (m_1, ..., m_t) with sum <= min(max_rank, floor(k/l))."""
     _check_context(k, l, t, max_rank)
     bound = rank_bound(k, l, max_rank)
-    tuples = tuple(
-        IndexTuple(e, k, l) for e in _tuples_with_sum_range(t, 1, bound)
-    )
-    return SummandSet(k, l, t, max_rank, tuples)
+    return SummandSet(k, l, t, max_rank, tuple(_tuples_with_sum_range(t, 1, bound)))
 
 
 def subquotient_summands(k, l, t, m, positive_only=False):
@@ -165,13 +138,10 @@ def subquotient_summands(k, l, t, m, positive_only=False):
         raise ContractViolation("need subquotient stage m >= 0")
     if l * m > k:
         return SummandSet(k, l, t, m, ())
-    out = []
-    for e in _tuples_with_sum_range(t, m, m):
-        if positive_only and any(v == 0 for v in e):
-            continue
-        if sum(e) > 0:
-            out.append(IndexTuple(e, k, l))
-    return SummandSet(k, l, t, m, tuple(out))
+    tuples = tuple(
+        e for e in _tuples_with_sum_range(t, max(m, 1), m) if not (positive_only and 0 in e)
+    )
+    return SummandSet(k, l, t, m, tuples)
 
 
 def latching_quotient(k, l, t, max_rank=None):
@@ -182,11 +152,8 @@ def latching_quotient(k, l, t, max_rank=None):
     """
     _check_context(k, l, t, max_rank)
     bound = rank_bound(k, l, max_rank)
-    out = []
-    for e in _tuples_with_sum_range(t, max(t, 1), bound):
-        if all(v >= 1 for v in e):
-            out.append(IndexTuple(e, k, l))
-    return SummandSet(k, l, t, max_rank, tuple(out))
+    tuples = tuple(e for e in _tuples_with_sum_range(t, max(t, 1), bound) if 0 not in e)
+    return SummandSet(k, l, t, max_rank, tuples)
 
 
 def partitions_into(n, parts, largest=None):

@@ -75,17 +75,21 @@ class NotTorusCommensurable(ValueError):
 # descriptor structure
 
 
-# Every unit node carries three sums over its leaves, set once when it is
+# Every unit node carries five sums over its leaves, set once when it is
 # built: ``dim`` = sum(size * mult), the dimension it acts on; ``rank`` =
-# sum(size), the rank of its identity component; and ``key``, its sort key
-# among juxtaposed units.  A wreath multiplies its inner sums by ``copies``,
-# so no sum walks the leaves.  The key determines the unit, so units hash
-# by their key.
+# sum(size), the rank of its identity component; ``finite``, the order of
+# its finite part (copies! * inner^copies at a wreath); ``weyl``, that
+# order times size! at each leaf; and ``key``, its sort key among
+# juxtaposed units.  A wreath multiplies its inner sums by ``copies`` (or
+# raises them to that power), so no sum walks the leaves.  The key
+# determines the unit, so units hash by their key.
 
 
-def _set_sums(u, dim, rank, key):
+def _set_sums(u, dim, rank, finite, weyl, key):
     object.__setattr__(u, "dim", dim)
     object.__setattr__(u, "rank", rank)
+    object.__setattr__(u, "finite", finite)
+    object.__setattr__(u, "weyl", weyl)
     object.__setattr__(u, "key", key)
 
 
@@ -101,7 +105,8 @@ class Block:
     def __post_init__(self):
         if self.size < 1 or self.mult < 1:
             raise DescriptorError("block sizes and multiplicities must be >= 1")
-        _set_sums(self, self.size * self.mult, self.size, (0, self.size, self.mult))
+        _set_sums(self, self.size * self.mult, self.size, 1, math.factorial(self.size),
+                  (0, self.size, self.mult))
 
     __hash__ = _hash_key
 
@@ -116,9 +121,11 @@ class Wreath:
     def __post_init__(self):
         if self.copies < 1:
             raise DescriptorError("wreath copy count must be >= 1")
-        inner = self.inner
-        _set_sums(self, self.copies * inner.dim, self.copies * inner.rank,
-                  (1, self.copies, inner.key))
+        inner, copies = self.inner, self.copies
+        perms = math.factorial(copies)
+        _set_sums(self, copies * inner.dim, copies * inner.rank,
+                  perms * inner.finite ** copies, perms * inner.weyl ** copies,
+                  (1, copies, inner.key))
 
     __hash__ = _hash_key
 
@@ -132,6 +139,7 @@ class Bunch:
     def __post_init__(self):
         units = self.units
         _set_sums(self, sum(v.dim for v in units), sum(v.rank for v in units),
+                  math.prod(v.finite for v in units), math.prod(v.weyl for v in units),
                   (2, len(units)) + tuple(v.key for v in units))
 
     __hash__ = _hash_key
@@ -533,23 +541,16 @@ def generator_cycle_index(d):
 
 
 def finite_part_order(d):
-    """|H / H_0|: copies! * |inner|^copies at every ``Wreath`` node."""
-
-    def order(u):
-        if isinstance(u, Wreath):
-            return math.factorial(u.copies) * order(u.inner) ** u.copies
-        if isinstance(u, Bunch):
-            return math.prod(order(v) for v in u.units)
-        return 1
-
-    return order(Bunch(d.units))
+    """|H / H_0|: the product of the top-level units' ``finite`` orders
+    (copies! * |inner|^copies at every ``Wreath`` node)."""
+    return math.prod(u.finite for u in d.units)
 
 
 def weyl_order(d):
     """|W| = ``finite_part_order(d)`` * prod a_b! * c! over the leaf blocks and
-    the complement: the order of the group of ``descriptor_cycle_index``."""
-    return finite_part_order(d) * math.factorial(d.complement) * math.prod(
-        math.factorial(b.size) for b in d.blocks())
+    the complement, from the top-level units' ``weyl`` orders: the order of
+    the group of ``descriptor_cycle_index``."""
+    return math.factorial(d.complement) * math.prod(u.weyl for u in d.units)
 
 
 # ---------------------------------------------------------------------------

@@ -72,8 +72,10 @@ that shares no code with the engine it checks:
 * ``PointedMap``, ``pushforward``, ``compose_rank`` and ``compose_indices``
   spell out the functoriality of the index calculus (maps of pointed sets
   push multiplicities forward; composition multiplies ranks).  They are the
-  objects of the combinatorial property suites, built on ``IndexTuple``
-  alone.
+  objects of the combinatorial property suites.  An index tuple there is a
+  triple (entries, k, l) checked by ``index_tuple``, which, unlike a
+  ``combinat.SummandSet``, admits the basepoint, since a composite may be
+  the basepoint.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ from fractions import Fraction
 from operator import add
 
 from rankfilt.cartan import InvariantViolation
-from rankfilt.combinat import ContractViolation, IndexTuple, partitions_into
+from rankfilt.combinat import ContractViolation, partitions_into
 from rankfilt.linalg import sparse_rank
 from rankfilt.orbitspace import (
     Block,
@@ -560,17 +562,32 @@ def compose_rank(r, s):
     return r * s
 
 
+def index_tuple(entries, k, l):
+    """The triple (entries, k, l) of an index tuple over (k, l), checked:
+    k, l >= 1, no negative entry and l * rank <= k, where the rank is the
+    sum of the entries.  The basepoint (rank 0) is allowed."""
+    entries = tuple(entries)
+    if k < 1 or l < 1:
+        raise ContractViolation("ambient ranks must be >= 1")
+    if any(m < 0 for m in entries):
+        raise ContractViolation("negative multiplicity")
+    r = sum(entries)
+    if l * r > k:
+        raise ContractViolation(
+            "tuple of rank %d cannot label a summand: %d * %d > %d" % (r, l, r, k))
+    return entries, k, l
+
+
 def compose_indices(m_tuple, n_tuple):
-    """Compose index tuples; contexts must share the middle matrix rank.
+    """Compose index tuples (entries, k, l); contexts must share the middle
+    matrix rank.
 
     For M over (k, l) and N over (l, n) the composite lives over (k, n) and
     consists of all pairwise products m_i * n_j, ordered lexicographically in
     (i, j).  Its rank is rank(M) * rank(N).
     """
-    if m_tuple.l != n_tuple.k:
+    (m_entries, k, l), (n_entries, l2, n) = m_tuple, n_tuple
+    if l != l2:
         raise ContractViolation(
-            "incompatible contexts: (%d, %d) then (%d, %d)"
-            % (m_tuple.k, m_tuple.l, n_tuple.k, n_tuple.l)
-        )
-    entries = tuple(m * n for m in m_tuple.entries for n in n_tuple.entries)
-    return IndexTuple(entries, m_tuple.k, n_tuple.l)
+            "incompatible contexts: (%d, %d) then (%d, %d)" % (k, l, l2, n))
+    return index_tuple(tuple(a * b for a in m_entries for b in n_entries), k, n)

@@ -13,12 +13,12 @@ from oracles import (
     compose_indices,
     compose_rank,
     flag_poincare_oracle,
+    index_tuple,
     pushforward,
     vertex,
 )
 from rankfilt.cartan import cartan_cohomology, poincare
 from rankfilt.combinat import (
-    IndexTuple,
     enumerate_summands,
     latching_quotient,
     rank_bound,
@@ -261,8 +261,8 @@ def test_criterion_7_combinatorial_properties():
             continue
         m_entries = tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 3)))
         k = max(1, l * sum(m_entries) + rng.randint(0, 2))
-        out = compose_indices(IndexTuple(m_entries, k, l), IndexTuple(n_entries, l, 1))
-        assert out.rank == sum(m_entries) * sum(n_entries)
+        out, _, _ = compose_indices(index_tuple(m_entries, k, l), index_tuple(n_entries, l, 1))
+        assert sum(out) == sum(m_entries) * sum(n_entries)
 
     for _ in range(cases):  # latching triviality
         k, l = rng.randint(1, 7), rng.randint(1, 3)

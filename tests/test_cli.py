@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -347,6 +348,21 @@ def test_cache_entry_that_is_not_a_map_is_a_miss(capsys, tmp_path):
         code, out, _ = run(capsys, *args)
         assert code == 0 and out == fresh, value
         assert json.loads(cache.read_text())["entries"][key]["value"] == {"0": 1, "2": 1, "4": 1}
+
+
+def test_cache_file_does_not_depend_on_the_clock(capsys, tmp_path, monkeypatch):
+    args = ("poincare", "U(3)/(2)x(1)", "--cache")
+    assert run(capsys, *args, str(tmp_path / "now.json"))[0] == 0
+    monkeypatch.setattr(time, "time", lambda: 0.0)
+    assert run(capsys, *args, str(tmp_path / "epoch.json"))[0] == 0
+    assert (tmp_path / "now.json").read_bytes() == (tmp_path / "epoch.json").read_bytes()
+    # an entry written with the per-entry timestamp of older files still loads
+    doc = json.loads((tmp_path / "now.json").read_text())
+    (key,) = doc["entries"]
+    doc["entries"][key]["timestamp"] = 1
+    (tmp_path / "now.json").write_text(json.dumps(doc))
+    code, out, _ = run(capsys, *args, str(tmp_path / "now.json"), "--verify-cache")
+    assert code == 0 and "1 entries recomputed" in out
 
 
 def test_cache_audit_reports_an_unparsable_value(capsys, tmp_path):

@@ -9,10 +9,10 @@ import random
 
 import pytest
 
-from oracles import PointedMap, compose_indices, compose_rank, pushforward
+from oracles import PointedMap, compose_indices, compose_rank, index_tuple, pushforward
 from rankfilt.combinat import (
     ContractViolation,
-    IndexTuple,
+    SummandSet,
     _tuples_with_sum_range,
     enumerate_summands,
     is_prime_power,
@@ -32,7 +32,7 @@ def random_map(rng, t=None, s=None):
 
 
 def entries(summands):
-    return [it.entries for it in summands]
+    return list(summands)
 
 
 def count_oracle(t, bound):
@@ -144,7 +144,7 @@ def test_latching_examples_and_triviality():
         else:
             assert len(got) > 0 or t == 0
         for it in got:
-            assert all(v >= 1 for v in it.entries) and it.rank <= bound
+            assert all(v >= 1 for v in it) and sum(it) <= bound
 
 
 def test_special_wedge_splitting():
@@ -169,17 +169,17 @@ def test_compose_rank_examples():
 
 
 def test_compose_indices_example():
-    m = IndexTuple((2, 1), 6, 2)
-    n = IndexTuple((1, 1), 2, 1)
-    out = compose_indices(m, n)
-    assert out.entries == (2, 2, 1, 1)
-    assert out.rank == 6
-    assert (out.k, out.l) == (6, 1)
+    m = index_tuple((2, 1), 6, 2)
+    n = index_tuple((1, 1), 2, 1)
+    out_entries, k, l = compose_indices(m, n)
+    assert out_entries == (2, 2, 1, 1)
+    assert sum(out_entries) == 6
+    assert (k, l) == (6, 1)
 
 
 def test_compose_incompatible_contexts():
     with pytest.raises(ContractViolation):
-        compose_indices(IndexTuple((1,), 4, 2), IndexTuple((1,), 3, 1))
+        compose_indices(index_tuple((1,), 4, 2), index_tuple((1,), 3, 1))
 
 
 def test_compose_rank_multiplicativity():
@@ -196,11 +196,9 @@ def test_compose_rank_multiplicativity():
         m_entries = tuple(rng.randint(0, 2) for _ in range(t_len))
         r = sum(m_entries)
         k = max(1, l * r + rng.randint(0, 3))
-        m_t = IndexTuple(m_entries, k, l)
-        n_t = IndexTuple(n_entries, l, n)
-        out = compose_indices(m_t, n_t)
-        assert out.rank == compose_rank(m_t.rank, n_t.rank)
-        assert len(out) == len(m_t) * len(n_t)
+        out, _, _ = compose_indices(index_tuple(m_entries, k, l), index_tuple(n_entries, l, n))
+        assert sum(out) == compose_rank(sum(m_entries), sum(n_entries))
+        assert len(out) == len(m_entries) * len(n_entries)
 
 
 # -- prime powers ------------------------------------------------------------
@@ -261,7 +259,22 @@ def test_partitions_into_covers_each_partition_once():
             assert sum(p) == n and list(p) == sorted(p, reverse=True) and min(p, default=1) >= 1
 
 
-def test_index_tuple_bound():
-    with pytest.raises(ContractViolation):
-        IndexTuple((2,), 3, 2)  # rank 2 needs 2*2 <= 3
-    assert IndexTuple((0, 0), 3, 2).is_basepoint
+@pytest.mark.parametrize(
+    "k, l, t, tuples, why",
+    [
+        (3, 2, 2, ((0, 0),), "basepoint"),
+        (3, 2, 0, ((),), "basepoint"),  # the empty tuple is the basepoint of [0]
+        (3, 2, 2, ((),), "length"),
+        (3, 2, 2, ((1,),), "length"),
+        (3, 2, 2, ((1, 0, 0),), "length"),
+        (3, 2, 2, ((2, -1),), "negative"),  # rank 1 would fit
+        (3, 2, 1, ((2,),), "label"),  # rank 2 needs 2*2 <= 3
+        (3, 2, 2, ((1, 0), (1, 0)), "lexicographic"),  # a duplicate
+        (3, 2, 2, ((1, 0), (0, 1)), "lexicographic"),
+        (0, 1, 1, (), "ambient"),
+        (3, 0, 1, (), "ambient"),
+    ],
+)
+def test_summand_set_rejects_each_bad_tuple(k, l, t, tuples, why):
+    with pytest.raises(ContractViolation, match=why):
+        SummandSet(k, l, t, None, tuples)

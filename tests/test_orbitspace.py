@@ -35,6 +35,7 @@ from rankfilt.orbitspace import (
     parse_descriptor,
     real_dimension,
     sym_cycle_index,
+    weyl_order,
 )
 from rankfilt.poly import Poly
 
@@ -197,7 +198,7 @@ def test_cycle_index_matches_automorphism_count():
         for i in range(1, d.complement + 1):
             comp *= i
         assert z[(1,) * d.k] == 1
-        assert sum(z.values()) == finite_part * block_weyl * comp, d
+        assert sum(z.values()) == finite_part * block_weyl * comp == weyl_order(d), d
     assert commensurable > 100
 
 
