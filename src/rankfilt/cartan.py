@@ -248,7 +248,6 @@ class KoszulComplex:
         self._check_equivariance()
 
         self._mono_cache = {}
-        self._ext_cache = {}
         self._basis_cache = {}
 
     # -- construction ---------------------------------------------------
@@ -306,14 +305,11 @@ class KoszulComplex:
         in the same order as in the enumeration of all 2^k subsets.
         """
         j = max(0, min(self.k, (degree + 1) // 2))
-        got = self._ext_cache.get(j)
-        if got is None:
-            got = self._ext_cache[j] = [
-                (comb, sum(2 * i - 1 for i in comb))
-                for r in range(j + 1)
-                for comb in itertools.combinations(range(1, j + 1), r)
-            ]
-        return got
+        return [
+            (comb, sum(2 * i - 1 for i in comb))
+            for r in range(j + 1)
+            for comb in itertools.combinations(range(1, j + 1), r)
+        ]
 
     def _orbits(self, invariants):
         return invariants and bool(self.generators)

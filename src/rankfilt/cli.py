@@ -106,7 +106,7 @@ class ResultCache:
         tmp = "%s.%d.tmp" % (self.path, os.getpid())
         try:
             with open(tmp, "w") as fh:
-                json.dump(doc, fh, sort_keys=True, indent=1)
+                json.dump(doc, fh, sort_keys=True)
                 fh.write("\n")
             os.replace(tmp, self.path)
         except OSError as exc:

@@ -183,39 +183,21 @@ def _children(part, counts, memo):
     """Descending tuples of chain trees with dims ``part`` (a descending
     partition) whose level counts add up to ``counts``.
 
-    Children of unequal dims are ordered by dim; a child whose dim equals
-    its left neighbour's takes only trees up to that neighbour's.  Each
-    child but the last takes level counts from ``_profiles``, and the last
-    takes what is left.
+    The first child takes each level-count profile ``own`` that
+    ``_profiles`` leaves room for, and the later children are the tuples
+    for ``part[1:]`` and the counts left over.  Children of unequal dims
+    are ordered by dim; when the second dim equals the first, only tails
+    whose first tree is at most the first child's are kept.
     """
-    last = len(part) - 1
-    if not last:
-        return [(tree,) for tree in _trees(part[0], counts, memo)]
+    dim = part[0]
+    if len(part) == 1:
+        return [(tree,) for tree in _trees(dim, counts, memo)]
     out = []
-    rooms = list(itertools.accumulate(reversed(part), initial=0))[::-1]
-    chosen = []
-
-    def fill(i, left):
-        dim = part[i]
-        twin = i > 0 and part[i - 1] == dim
-        for own in _profiles(dim, left, last - i, rooms[i + 1]):
-            rest = tuple([a - b for a, b in zip(left, own)])
-            for tree in _trees(dim, own, memo):
-                if twin and tree > chosen[-1]:
-                    continue
-                chosen.append(tree)
-                if i + 1 < last:
-                    fill(i + 1, rest)
-                else:
-                    head = tuple(chosen)
-                    tails = _trees(part[last], rest, memo)
-                    if part[last] == dim:
-                        out.extend([head + (t,) for t in tails if t <= tree])
-                    else:
-                        out.extend([head + (t,) for t in tails])
-                chosen.pop()
-
-    fill(0, counts)
+    twin = part[1] == dim
+    for own in _profiles(dim, counts, len(part) - 1, sum(part[1:])):
+        tails = _children(part[1:], tuple([a - b for a, b in zip(counts, own)]), memo)
+        for tree in _trees(dim, own, memo):
+            out.extend([(tree,) + tail for tail in tails if not twin or tail[0] <= tree])
     return out
 
 

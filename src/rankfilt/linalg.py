@@ -2,21 +2,29 @@
 
 Matrices are lists of sparse integer rows (dict column -> coefficient).
 Elimination is fraction free: a two-term integer cross-multiplication
-followed by a content strip, with a cheap Markowitz-style pivot choice
-(sparsest row, then sparsest column within it).  No floating point is
-used anywhere.  The tests check every rank against dense Fraction
-elimination, a separate implementation kept beside them.
+followed by a content strip.  No floating point is used anywhere.  The
+tests check every rank against dense Fraction elimination, a separate
+implementation kept beside them.
 
-The sparsest row comes from a lazy heap of ``(length, row id)`` entries:
-a row whose length changes during elimination is pushed again, and a
-popped entry whose row is gone or has another length is skipped.  Ties go
-to the lowest row id, so the pivot sequence, and with it every
-intermediate row, is that of a scan for the first sparsest active row.
+Rows are reduced one at a time against a table of pivots keyed by their
+leading (least) column; a row that does not reduce to zero becomes the
+pivot of its new leading column, and the rank is the number of pivots.
+There is no pivot choice and no schedule.  Rows are taken from the last
+one back: the Koszul differential lists its rows in basis order, and
+from that end the pivots stay short.  On the 1 359-row matrix of
+``U(5)/(1)x(1)x(1,2)xU(1)`` in degree 22 they hold 11 914 entries of at
+most 6 bits, against 80 244 entries of up to 45 bits in input order.
+
+Compared with a sparsest-row-first (Markowitz) order, in CPU time on a
+shared 2-vCPU machine with Python 3.11: no matrix of the benchmark
+workloads has more than 43 rows, and those take about half the time; the
+1 457-row witness matrices of ``poincare 'U(12)/(1)x...x(1)'
+--engine cartan`` (12 leaves) 0.023 s against 0.026 s, and the 4 030-row
+ones of 16 leaves 0.12 s against 0.10-0.11 s.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
 from math import gcd
 
 
@@ -33,59 +41,31 @@ def _strip_content(row):
 
 
 def sparse_rank(rows):
-    """Rank over Q of the matrix whose rows are dicts {column: int}."""
-    active = {}
-    col_rows = {}
-    for rid, row in enumerate(rows):
-        row = {c: v for c, v in row.items() if v}
-        if not row:
-            continue
-        active[rid] = _strip_content(dict(row))
-        for c in row:
-            col_rows.setdefault(c, set()).add(rid)
+    """Rank over Q of the matrix whose rows are dicts {column: int}.
 
-    heap = [(len(row), rid) for rid, row in active.items()]
-    heapify(heap)
-    rank = 0
-    while heap:
-        # pivot: sparsest row (lowest id on ties), then its column hit by
-        # fewest other rows
-        n, prid = heappop(heap)
-        prow = active.get(prid)
-        if prow is None or len(prow) != n:
-            continue
-        pcol = min(prow, key=lambda c: len(col_rows[c]))
-        pval = prow[pcol]
-        rank += 1
-
-        del active[prid]
-        for c in prow:
-            col_rows[c].discard(prid)
-
-        victims = list(col_rows.get(pcol, ()))
-        for rid in victims:
-            row = active[rid]
-            before = len(row)
-            rval = row.pop(pcol)
-            col_rows[pcol].discard(rid)
-            # row <- pval*row - rval*prow; the pivot column cancels exactly
-            for c in row:
-                row[c] *= pval
+    The rows passed in are not changed."""
+    pivots = {}
+    for row in reversed(rows):
+        row = _strip_content({c: v for c, v in row.items() if v})
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                pivots[lead] = row
+                break
+            # row <- pv*row - rv*prow, with pv and rv over their gcd; the
+            # leading column cancels exactly
+            pv, rv = prow[lead], row[lead]
+            g = gcd(pv, rv)
+            pv, rv = pv // g, rv // g
+            if pv != 1:
+                for c in row:
+                    row[c] *= pv
             for c, v in prow.items():
-                if c == pcol:
-                    continue
-                nv = row.get(c, 0) - rval * v
+                nv = row.get(c, 0) - rv * v
                 if nv:
-                    if c not in row:
-                        col_rows.setdefault(c, set()).add(rid)
                     row[c] = nv
-                elif c in row:
+                else:
                     del row[c]
-                    col_rows[c].discard(rid)
-            if row:
-                _strip_content(row)
-                if len(row) != before:
-                    heappush(heap, (len(row), rid))
-            else:
-                del active[rid]
-    return rank
+            _strip_content(row)
+    return len(pivots)

@@ -31,7 +31,7 @@ that shares no code with the engine it checks:
 * ``dense_rank_fractions`` is textbook Gaussian elimination over Fraction
   on a dense matrix, with the first nonzero entry of each column as pivot.
   ``linalg.sparse_rank`` is fraction-free integer elimination on sparse
-  rows with a Markowitz pivot order.
+  rows.
 * ``verify_d_squared`` multiplies the full (non-invariant) matrices of the
   Koszul differential in two consecutive degrees and checks that the
   product is zero.  It uses the complex's own rows but no rank and no orbit

@@ -365,6 +365,18 @@ def test_cache_file_does_not_depend_on_the_clock(capsys, tmp_path, monkeypatch):
     assert code == 0 and "1 entries recomputed" in out
 
 
+def test_cache_is_written_compact_and_indented_files_still_load(capsys, tmp_path):
+    cache = tmp_path / "cache.json"
+    args = ("poincare", "U(3)/(2)x(1)", "--cache", str(cache))
+    assert run(capsys, *args)[0] == 0
+    text = cache.read_text()
+    assert text.endswith("}\n") and "\n" not in text[:-1]
+    # older versions wrote the same document with indent=1
+    cache.write_text(json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n")
+    code, out, _ = run(capsys, *args, "--verify-cache")
+    assert code == 0 and "1 entries recomputed" in out
+
+
 def test_cache_audit_reports_an_unparsable_value(capsys, tmp_path):
     cache = tmp_path / "cache.json"
     args = ("poincare", "U(3)/(2)x(1)", "--cache", str(cache))

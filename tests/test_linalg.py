@@ -48,7 +48,14 @@ def test_koszul_rows_cross_check():
     from rankfilt.cartan import KoszulComplex
     from rankfilt.orbitspace import parse_descriptor
 
-    for text in ["U(3)/(1,2)xU(1)", "U(4)/(1)x(1)xU(2)", "U(4)/S2wr(1)xU(2)", "U(5)/S2wr(1,2)x(1)"]:
+    for text in [
+        "U(3)/(1,2)xU(1)",
+        "U(4)/(1)x(1)xU(2)",
+        "U(4)/S2wr(1)xU(2)",
+        "U(5)/S2wr(1,2)x(1)",
+        "U(8)/S4wr(2)",
+        "U(8)/S2wrS2wr(2)",
+    ]:
         kc = KoszulComplex(parse_descriptor(text))
         for invariants in (True, False):
             for degree in range(9):
@@ -59,8 +66,8 @@ def test_koszul_rows_cross_check():
 
 
 def test_heap_stress_cross_check():
-    # many rows of one length (ties on the heap), duplicate rows, and rows
-    # that elimination empties or shortens, so stale heap entries abound
+    # many rows of one length, duplicate rows, and rows that elimination
+    # empties or shortens
     rng = random.Random(20261018)
     for _ in range(300):
         nc = rng.randint(2, 10)
@@ -83,3 +90,18 @@ def test_heap_stress_cross_check():
                 rows.append({c: rng.randint(1, 3) for c in rng.sample(range(nc), width)})
         expected = dense_rank_fractions(rows, nc)
         assert sparse_rank([dict(r) for r in rows]) == expected
+
+
+def test_input_rows_are_not_changed():
+    rng = random.Random(20261019)
+    for _ in range(100):
+        nc = rng.randint(1, 8)
+        rows = [
+            {c: rng.randint(-4, 4) for c in range(nc) if rng.random() < 0.6}
+            for _ in range(rng.randint(1, 10))
+        ]
+        # zero entries, shared multiples and content to strip included
+        rows += [{c: 6 * v for c, v in rows[0].items()}, dict(rows[-1])]
+        before = [dict(r) for r in rows]
+        sparse_rank(rows)
+        assert rows == before
