@@ -18,10 +18,15 @@ answer; a Molien answer is exact whatever the cutoff.  ``poincare --json``
 states the truncation as ``cutoff`` and ``report --json`` as
 ``first_stage_cutoff``, null when the answer is exact.
 
-Output is deterministic: JSON is emitted with sorted keys, and polynomial
-maps are keyed by degree in sorted order.  A persistent JSON result cache
-can be pointed at with ``--cache`` or the RANKFILT_CACHE environment
-variable; a corrupt cache is ignored with a warning, never fatal.
+Output is deterministic.  JSON is written with sorted keys and a 2-space
+indent, byte for byte as ``json.dumps(doc, sort_keys=True, indent=2)``
+spells it, but streamed piece by piece by ``write_json`` from a document
+built in full first.  Polynomial maps are keyed by degree as a string, so
+their keys sort as strings: "11" comes before "2".
+
+A persistent JSON result cache can be pointed at with ``--cache`` or the
+RANKFILT_CACHE environment variable; a corrupt cache is ignored with a
+warning, never fatal.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import cartan, combinat, decomp, spectra
 from .combinat import ContractViolation
@@ -126,11 +132,64 @@ def _recompute_entry(key):
 # output helpers
 
 
+def write_json(value, write, indent=""):
+    """Write ``value`` through ``write`` exactly as ``json.dumps(value,
+    sort_keys=True, indent=2)`` spells it, a piece at a time.
+
+    A list, tuple or dict whose items (for a dict, values) are all plain
+    ints is written in one join; a bool is not a plain int here.  Any other
+    container recurses, one ``write`` per item.  Keys must be strings.
+    """
+    if isinstance(value, str):
+        write(_encode_str(value))
+    elif value is None or value is True or value is False:
+        write("null" if value is None else "true" if value else "false")
+    elif type(value) is int:
+        write(str(value))
+    elif isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("JSON keys must be strings")
+        inner = indent + "  "
+        keys = sorted(value)
+        if all(type(v) is int for v in value.values()):
+            write("{\n%s%s\n%s}" % (inner, (",\n" + inner).join(
+                "%s: %d" % (_encode_str(key), value[key]) for key in keys), indent))
+            return
+        sep = "{\n" + inner
+        for key in keys:
+            write("%s%s: " % (sep, _encode_str(key)))
+            write_json(value[key], write, inner)
+            sep = ",\n" + inner
+        write("\n%s}" % indent)
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            write("[]")
+            return
+        inner = indent + "  "
+        if all(type(v) is int for v in value):
+            write("[\n%s%s\n%s]" % (inner, (",\n" + inner).join(map(str, value)), indent))
+            return
+        sep = "[\n" + inner
+        for item in value:
+            write(sep)
+            write_json(item, write, inner)
+            sep = ",\n" + inner
+        write("\n%s]" % indent)
+    else:
+        write(json.dumps(value))
+
+
 def emit_json(doc):
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    """Print a fully built document as sorted, 2-space-indented JSON."""
+    write_json(doc, sys.stdout.write)
+    sys.stdout.write("\n")
 
 
 def emit_csv(rows):
+    """Print each row of an iterable as one comma-separated line."""
     for row in rows:
         print(",".join(str(cell) for cell in row))
 
@@ -161,10 +220,7 @@ def cmd_summands(args):
             doc["note"] = "l>k: the mapping spectrum is contractible"
         emit_json(doc)
     elif args.csv:
-        rows = [["index"] + ["m%d" % (i + 1) for i in range(t)] + ["rank"]]
-        for i, it in enumerate(ss):
-            rows.append([i] + list(it) + [sum(it)])
-        emit_csv(rows)
+        emit_csv(_summand_rows(ss, t))
     else:
         print("summands k=%d l=%d t=%d (%s): %d" % (k, l, t, mode, len(ss)))
         for it in ss:
@@ -172,6 +228,12 @@ def cmd_summands(args):
         if l > k:
             print("  note: l>k, the mapping spectrum is contractible")
     return EXIT_OK
+
+
+def _summand_rows(ss, t):
+    yield ["index"] + ["m%d" % (i + 1) for i in range(t)] + ["rank"]
+    for i, it in enumerate(ss):
+        yield (i,) + it + (sum(it),)
 
 
 def cmd_poincare(args):

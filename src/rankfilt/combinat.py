@@ -77,7 +77,7 @@ class SummandSet:
             "l": self.l,
             "t": self.t,
             "max_rank": self.max_rank,
-            "tuples": [list(it) for it in self.tuples],
+            "tuples": self.tuples,
         }
 
 

@@ -52,6 +52,14 @@ nothing outlives the call:
 No root repeats within a cube, so ``units`` and ``appended`` store none.
 A vertex's Poincare polynomial is summed as sum(n * P) over its distinct
 polynomials.
+
+``CubeReport.to_json`` likewise owns three dicts for the length of one
+call, so that each distinct value is rendered once:
+
+* ``names``: the ``canonical_string()`` of each distinct descriptor;
+* ``maps``: the ``to_map()`` of each polynomial, by id, as the memo hands
+  every chain of one isotropy the same ``Poly``;
+* ``trees``: the ``_tree_string`` of each shared subtree, by id.
 """
 
 from __future__ import annotations
@@ -287,6 +295,22 @@ class CubeReport:
         return all(e.ok for e in self.edges) and self.signed_sum_zero
 
     def to_json(self):
+        """The report as a JSON document, each distinct descriptor string,
+        polynomial map and subtree string rendered once (module docstring)."""
+        names, maps, trees = {}, {}, {}
+
+        def name(d):
+            got = names.get(d)
+            if got is None:
+                got = names[d] = d.canonical_string()
+            return got
+
+        def poly_map(p):
+            got = maps.get(id(p))
+            if got is None:
+                got = maps[id(p)] = p.to_map()
+            return got
+
         return {
             "m": self.m,
             "l": self.l,
@@ -302,9 +326,9 @@ class CubeReport:
                     "poincare": v.poincare.to_map(),
                     "chains": [
                         {
-                            "chain": _tree_string(c),
-                            "stabilizer": d.canonical_string(),
-                            "poincare": p.to_map(),
+                            "chain": _tree_string(c, trees),
+                            "stabilizer": name(d),
+                            "poincare": poly_map(p),
                         }
                         for c, d, p in v.chains
                     ],
@@ -324,11 +348,20 @@ class CubeReport:
         }
 
 
-def _tree_string(node):
+def _tree_string(node, strings=None):
+    """The tree as nested text, ``dim[child,...]``.  ``strings`` is a dict
+    of the strings of inner subtrees by id, to share between calls over
+    trees that share subtrees; its caller keeps every node it keys alive."""
     dim, children = node
     if not children:
         return str(dim)
-    return "%d[%s]" % (dim, ",".join(_tree_string(c) for c in children))
+    if strings is None:
+        strings = {}
+    got = strings.get(id(node))
+    if got is None:
+        got = strings[id(node)] = "%d[%s]" % (
+            dim, ",".join([_tree_string(c, strings) for c in children]))
+    return got
 
 
 def _subsets(elements):

@@ -186,7 +186,9 @@ class Poly:
         return " ".join(terms)
 
     def to_map(self):
-        """JSON-friendly map with string keys in sorted numeric order."""
+        """JSON-friendly map keyed by degree as a string.  The keys are
+        inserted in numeric order, but JSON output sorts them as strings
+        ("11" before "2")."""
         return {str(d): self.coeffs[d] for d in sorted(self.coeffs)}
 
     def __repr__(self):

@@ -539,3 +539,38 @@ def test_non_integral_molien_average_exits_6(capsys, monkeypatch):
     assert "invariant violation" in err and "non-integral coefficient 3/2" in err
     assert "U(3)/(1)x(2)" in err and "Traceback" not in err
     cartan.memo.clear()
+
+
+def _written(value):
+    pieces = []
+    cli.write_json(value, pieces.append)
+    return "".join(pieces)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        # empty containers at each depth
+        [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[[]], {}], {"a": {"b": []}, "c": {}},
+        [1, [], {}], {"a": 1, "b": [], "c": {}},
+        # a bool must not take the plain-int path
+        [1, True, None, -5], {"a": True, "b": 2}, [False], {"a": False}, [True, 1],
+        # nested lists of tuples, and keys that sort as strings
+        [(1, 2), [(3,), ()], ((4, 5), (6, [7]))], {"11": 1, "2": 2, "b": (1, 2), "a": [()]},
+        # ints past 2**64, floats
+        [2 ** 64, -(2 ** 70) - 1], {"big": 2 ** 65}, 0.1, 1e300, [0.1, 1e300], {"x": 0.1},
+        # strings needing escapes: quote, backslash, control, non-ASCII, astral
+        'a"b\\c', "tab\there\x01", "café ∃", "\U0001d11e",
+        {'k"\\\x02é\U0001d11e': ['v"\\\x1f', "ü"]},
+        # scalars
+        None, True, False, 0, -3, "",
+    ],
+)
+def test_write_json_matches_json_dumps(value):
+    assert _written(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {"a": {None: 1}}, [{(1,): 2}]])
+def test_write_json_rejects_a_non_string_key(value):
+    with pytest.raises(TypeError):
+        _written(value)
