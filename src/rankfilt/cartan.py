@@ -68,10 +68,12 @@ for V the span of the polynomial generators.  The sum over g is a sum over
 the cycle index of G on those generators
 (:func:`orbitspace.generator_cycle_index`), built from the wreath tree:
 a cycle of length L through the copies of a generator of degree 2j
-contributes 1 - t^(2jL).  The group is never listed.  The series is
-summed in integers with the class counts through the real dimension n and
-divided by |G| = ``finite_part_order``; the even part must vanish above
-n - sum_{i>r} (2i - 1), which is the top degree of R/I.
+contributes 1 - t^(2jL).  ``orbitspace.ci_wreath`` gives each wreath's
+counts by a recurrence, so no group element and no cycle type of a copy
+permutation is listed; the Molien engine runs its own form of it on
+series.  The series is summed in integers with the class counts through
+the real dimension n and divided by |G| = ``finite_part_order``; the even
+part must vanish above n - sum_{i>r} (2i - 1), the top degree of R/I.
 
 Every answer is checked against the Koszul ranks in the degrees through
 min(``WITNESS_DEGREES``, n), a witness that shares only the Chern images

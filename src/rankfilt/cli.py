@@ -51,7 +51,7 @@ EXIT_VERIFICATION = 4
 EXIT_RESOURCE = 5
 EXIT_INVARIANT = 6
 
-ENGINE_VERSION = "rankfilt-0.3.0"
+ENGINE_VERSION = "rankfilt-0.4.0"
 
 
 # ---------------------------------------------------------------------------

@@ -16,18 +16,21 @@ the identity component of H contains a maximal torus of U(k) and the graded
 dimensions of H*(U(k)/H; Q) are computed by a Molien average over the
 induced subgroup W of the symmetric group S_k: in each even degree 2d the
 dimension is the multiplicity of the trivial character in the degree-d part
-of the coinvariant algebra of S_k.  The average is taken over cycle types
-with class counts (a cycle index), never element by element, and in
-integers: the series 1/prod_{c in lambda} (1 - q^c) of each cycle type
-lambda is expanded through degree D = k(k-1)/2, the series are summed
-with the number of elements of W of each type, multiplied by
-prod_{i<=k} (1 - q^i) and divided by |W| (``weyl_order``).  Each character
-prod_{i<=k} (1 - q^i) / prod_{c in lambda} (1 - q^c) is a polynomial of
-degree exactly D, because lambda sums to k, so truncating at D loses
-nothing.  The average is cross-checked in the tests against
-flag-manifold polynomials built from Gaussian binomials, and against a
-sum of exact polynomial quotients divided by the sum of the counts;
-neither route shares code with this one.
+of the coinvariant algebra of S_k.  The average is an integer series
+through degree D = k(k-1)/2, with no element and no cycle type listed:
+the count-weighted sum of 1/det(1 - w q) over W is a!/prod_{i<=a} (1 - q^i)
+for a block or the complement U(a), the product over juxtaposed units, and
+for n copies of a unit u the H_n of H_0 = 1, H_n = sum_{j=1..n}
+(n-1)!/(n-j)! |W_u|^(j-1) G_u(q^j) H_{n-j}, G_u the sum of u: this is
+n h_n = sum_j p_j h_{n-j} (Macdonald, "Symmetric Functions and Hall
+Polynomials", ch. I section 2).  The sum times prod_{i<=k} (1 - q^i) is
+divided by |W| (``weyl_order``).  Each character prod_{i<=k} (1 - q^i) /
+det(1 - w q) is a polynomial of degree exactly D, because the cycle lengths
+of w sum to k, so truncating at D loses nothing.  The average is
+cross-checked in the tests against flag-manifold polynomials built from
+Gaussian binomials, and against exact polynomial quotients summed over a
+listed cycle index and divided by the sum of the counts; neither route
+shares code with this one.
 
 Grading convention, fixed globally: one power of q is cohomological degree 2
 (complex cells), so all Poincare polynomials substitute q -> t^2.
@@ -58,8 +61,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .combinat import partitions_into
 from .poly import Poly
 
 
@@ -418,28 +421,10 @@ def _parse_unit(sc):
 
 
 # ---------------------------------------------------------------------------
-# cycle indices
+# cycle indices of the finite part on the generators
 
 # A cycle index is a map {cycle type -> number of group elements of that
 # type}: cycle types are partitions stored as descending tuples.
-
-
-def _z_lambda(part):
-    """Size of the S_n centralizer of a permutation of cycle type ``part``."""
-    z = 1
-    for p in set(part):
-        m = part.count(p)
-        z *= p ** m * math.factorial(m)
-    return z
-
-
-def sym_cycle_index(n):
-    """Cycle index of the full symmetric group S_n: n!/z_lambda of type lambda."""
-    return {
-        part: math.factorial(n) // _z_lambda(part)
-        for r in range(n + 1)
-        for part in partitions_into(n, r)
-    }
 
 
 def ci_product(z1, z2):
@@ -452,76 +437,46 @@ def ci_product(z1, z2):
     return out
 
 
-def _ci_scale(z, factor, weight):
-    """Every cycle length of ``z`` times ``factor``, every count times ``weight``."""
-    return {tuple(c * factor for c in p): n * weight for p, n in z.items()}
-
-
-def ci_plethysm(outer, inner):
-    """Cycle index of the wreath product: ``outer`` permutes copies of ``inner``.
-
-    Along an i-cycle of the outer permutation the copies have the cycles
-    of the product of their i inner elements, i times as long, and each
-    product arises from |inner|^(i-1) choices (|inner| the sum of the inner
-    counts): so lengths are scaled by i and counts by |inner|^(i-1).
-    """
+def ci_wreath(inner, copies):
+    """Cycle index of Sym(copies) permuting copies of ``inner``, by the
+    recurrence of the module docstring on class counts: C_0 = {(): 1} and
+    C_n = sum_j (n-1)!/(n-j)! |inner|^(j-1) scale(inner, j) C_{n-j}, where
+    term j counts the elements that take the first copy round a j-cycle."""
     size = sum(inner.values())
-    out = {}
-    for mu, n in outer.items():
-        term = {(): n}
-        for i in mu:
-            term = ci_product(term, _ci_scale(inner, i, size ** (i - 1)))
-        for p, c in term.items():
-            out[p] = out.get(p, 0) + c
-    return out
+    terms = [{(): 1}]
+    for n in range(1, copies + 1):
+        out = {}
+        weight = 1
+        for j in range(1, n + 1):
+            scaled = {tuple(c * j for c in p): w * weight for p, w in inner.items()}
+            for p, c in ci_product(scaled, terms[n - j]).items():
+                out[p] = out.get(p, 0) + c
+            weight *= (n - j) * size
+        terms.append(out)
+    return terms[copies]
 
 
 def _generator_leaf(size):
     """Fixed generators of degrees 2, 4, ..., 2*size of H*(BU(size)).
 
     A generator of degree 2j is recorded as a cycle of length j, so that
-    scaling by the length L of a cycle of copies (``ci_plethysm``) gives the
+    scaling by the length L of a cycle of copies (``ci_wreath``) gives the
     factor 1 - q^(jL) = 1 - t^(2jL) of det(1 - g t) on the copies.
     """
     return {tuple(range(size, 0, -1)): 1}
 
 
-class _SymIndices(dict):
-    """Cycle indices of S_n by n, each built on first use, for one call."""
-
-    def __missing__(self, n):
-        z = self[n] = sym_cycle_index(n)
-        return z
-
-
-def _unit_cycle_index(u, leaf, sym):
+def _unit_cycle_index(u):
     if isinstance(u, Block):
-        return leaf(u)
+        return _generator_leaf(u.size)
     if isinstance(u, Wreath):
-        return ci_plethysm(sym[u.copies], _unit_cycle_index(u.inner, leaf, sym))
+        return ci_wreath(_unit_cycle_index(u.inner), u.copies)
     if isinstance(u, Bunch):
         z = {(): 1}
         for v in u.units:
-            z = ci_product(z, _unit_cycle_index(v, leaf, sym))
+            z = ci_product(z, _unit_cycle_index(v))
         return z
     raise DescriptorError("unknown unit %r" % (u,))
-
-
-def descriptor_cycle_index(d):
-    """Cycle index on k points of the Weyl-level group W <= S_k of the isotropy.
-
-    W is generated by the symmetric groups inside each block and the
-    complement, extended by the finite part permuting identical blocks.
-    Each S_n index is built once per call, however many blocks, wreaths
-    and complements share its n.
-    """
-    if not d.is_torus_commensurable():
-        raise NotTorusCommensurable(
-            "not torus-commensurable: %s" % d.canonical_string()
-        )
-    sym = _SymIndices()
-    units = _unit_cycle_index(Bunch(d.units), lambda b: sym[b.size], sym)
-    return ci_product(sym[d.complement], units)
 
 
 def generator_cycle_index(d):
@@ -535,9 +490,7 @@ def generator_cycle_index(d):
     count divided by prod (1 - q^m).  Tensor multiplicities and a
     fixed subspace change no generator, so every descriptor has this index.
     """
-    units = _unit_cycle_index(
-        Bunch(d.units), lambda b: _generator_leaf(b.size), _SymIndices())
-    return ci_product(_generator_leaf(d.complement), units)
+    return ci_product(_generator_leaf(d.complement), _unit_cycle_index(Bunch(d.units)))
 
 
 def finite_part_order(d):
@@ -549,7 +502,7 @@ def finite_part_order(d):
 def weyl_order(d):
     """|W| = ``finite_part_order(d)`` * prod a_b! * c! over the leaf blocks and
     the complement, from the top-level units' ``weyl`` orders: the order of
-    the group of ``descriptor_cycle_index``."""
+    the Weyl-level group W <= S_k that ``molien_sum`` sums over."""
     return math.factorial(d.complement) * math.prod(u.weyl for u in d.units)
 
 
@@ -557,25 +510,65 @@ def weyl_order(d):
 # the Molien average
 
 
+def _times_sym(series, a, stride=1):
+    """``series`` times a!/prod_{i<=a} (1 - q^(i*stride)), the count-weighted
+    Molien sum of S_a on a points at q^stride: one prefix-sum pass per
+    factor, each residue class mod i*stride summed on its own."""
+    series = list(series)
+    for step in range(stride, min(a * stride, len(series) - 1) + 1, stride):
+        for r in range(step):
+            series[r::step] = accumulate(series[r::step])
+    if a > 1:
+        f = math.factorial(a)
+        series = [f * s for s in series]
+    return series
+
+
+def _times_unit(series, u, stride=1):
+    """``series`` times the count-weighted Molien sum of the unit ``u`` at
+    q^stride, through the length of ``series``."""
+    if isinstance(u, Block):
+        return _times_sym(series, u.size, stride)
+    if isinstance(u, Bunch):
+        for v in u.units:
+            series = _times_unit(series, v, stride)
+        return series
+    # a wreath: the recurrence of the module docstring with H_0 = series,
+    # each G_v(q^j) applied as the inner unit at j times the stride
+    h = [series]
+    for n in range(1, u.copies + 1):
+        acc = [0] * len(series)
+        weight = 1
+        for j in range(1, n + 1):
+            term = _times_unit(h[n - j], u.inner, j * stride)
+            acc = [x + weight * y for x, y in zip(acc, term)]
+            weight *= (n - j) * u.inner.weyl
+        h.append(acc)
+    return h[-1]
+
+
+def molien_sum(d, top):
+    """sum_{w in W} 1/det(1 - w q) on the k points, in integers through
+    q^top: the complement and then each unit multiply the series."""
+    if not d.is_torus_commensurable():
+        raise NotTorusCommensurable("not torus-commensurable: %s" % d.canonical_string())
+    series = _times_sym([1] + [0] * top, d.complement)
+    for u in d.units:
+        series = _times_unit(series, u)
+    return series
+
+
 def molien_poincare(d):
     """Poincare polynomial of U(k)/H for torus-commensurable isotropy H.
 
-    The integer average of the module docstring: each series
-    1/prod_{c in lambda} (1 - q^c) takes one prefix-sum pass per part
-    through q^D, D = k(k-1)/2, and the count-weighted sum times
-    prod_{i<=k} (1 - q^i) is exact through q^D, where every character
-    ends.  Dividing by |W|, not by the sum of the counts, leaves a wrong
-    count to show as b_0 != 1 or as an ArithmeticError.  The result is
-    regraded q -> t^2; ``cartan.poincare`` runs the invariant checks on it.
+    The integer average of the module docstring, exact through q^D,
+    D = k(k-1)/2, where every character ends.  Dividing by |W|, not by a
+    count the sum carries, leaves a wrong sum to show as b_0 != 1 or as an
+    ArithmeticError.  The result is regraded q -> t^2; ``cartan.poincare``
+    runs the invariant checks on it.
     """
     top = d.k * (d.k - 1) // 2
-    acc = [0] * (top + 1)
-    for part, count in descriptor_cycle_index(d).items():
-        series = [1] + [0] * top
-        for c in part:
-            for i in range(c, top + 1):
-                series[i] += series[i - c]
-        acc = [a + count * s for a, s in zip(acc, series)]
+    acc = molien_sum(d, top)
     for j in range(1, d.k + 1):
         for i in range(top, j - 1, -1):
             acc[i] -= acc[i - j]

@@ -32,7 +32,6 @@ DEGREE_ZERO_NOTE = (
 )
 
 M_MAX = 4
-K_CAP = 8
 
 
 def vanishing_check(k, l):
@@ -238,13 +237,13 @@ def small_range_report(k, l, cutoff=None):
     """Full filtration report for a pair (k, l).
 
     One-stage ranges (floor(k/l) = 1) are marked as such and the full
-    rational homology is the first-stage polynomial.  Higher stages carry
-    their prime-power flags and the outcome of the subquotient verification;
-    stages beyond ``M_MAX`` are skipped; ``cube m --l l --k k --allow-large``
-    runs the same check for such a stage m.
+    rational homology is the first-stage polynomial, for any k (with l = 1
+    from the Molien series, with l > 1 from the Cartan closed form).
+    Higher stages carry their prime-power flags and the outcome of the
+    subquotient verification; stages beyond ``M_MAX`` are skipped;
+    ``cube m --l l --k k --allow-large`` runs the same check for such a
+    stage m.
     """
-    if k > K_CAP:
-        raise ContractViolation("k=%d exceeds the cap %d for the Cartan engine" % (k, K_CAP))
     if vanishing_check(k, l):
         return FiltrationReport(
             k=k, l=l, vanishes=True, length=0, pi0=0, first_stage=None, stages=()

@@ -7,22 +7,32 @@ that shares no code with the engine it checks:
 
 * ``gaussian_binomial`` and ``flag_poincare_oracle`` build flag-manifold
   Poincare polynomials from the q-Pascal recursion.  The Molien engine
-  averages coinvariant characters over a cycle index instead, so the two
-  meet only in the answer.
-* ``molien_poincare_oracle`` averages by polynomial division: for each
-  cycle type it divides prod_{i<=k} (1 - q^i) by prod_{c in lambda} (1 - q^c)
-  with ``divide_exact`` (``graded_char_coinv``), sums count x quotient as
+  sums integer series over the Weyl-level group instead, so the two meet
+  only in the answer.
+* ``descriptor_cycle_index`` lists the cycle index of the Weyl-level
+  group W <= S_k of a torus-commensurable descriptor: every cycle type of
+  S_a for each block and the complement (``sym_cycle_index``, n!/z_lambda
+  per type), and at each ``Wreath`` node every cycle type of the copy
+  permutation (``ci_plethysm``).  The Molien engine lists no cycle type:
+  it multiplies integer series block by block and runs the n*h_n
+  recurrence at each wreath.  ``orbitspace.ci_wreath`` runs the same
+  recurrence on class counts for the Cartan engine, and the tests compare
+  it with ``ci_plethysm`` over a listed S_n.
+* ``molien_poincare_oracle`` averages by polynomial division over
+  ``descriptor_cycle_index``: for each cycle type it divides
+  prod_{i<=k} (1 - q^i) by prod_{c in lambda} (1 - q^c) with
+  ``divide_exact`` (``graded_char_coinv``), sums count x quotient as
   ``Poly`` objects, and divides the sum by the order, which it takes as
-  the sum of the counts, with ``divide_exact`` again.  The engine expands
+  the sum of the counts, with ``divide_exact`` again.  The engine sums
   integer series truncated at degree k(k-1)/2 and divides once by the
-  closed-form order ``weyl_order``, so the two share only the cycle index.
+  closed-form order ``weyl_order``, so the two share nothing but the
+  descriptor.
 * ``cycle_index_by_enumeration`` lists the group W <= S_k of a
   torus-commensurable descriptor element by element: it closes the
   generating permutations of the k points (adjacent transpositions inside
   each leaf block and inside the complement, and the adjacent copy swaps
-  at every ``Wreath`` node) and counts cycle types.  The engines build
-  their cycle indices by ``ci_product`` and ``ci_plethysm`` and list no
-  element.
+  at every ``Wreath`` node) and counts cycle types, the check of
+  ``descriptor_cycle_index``.
 * ``stabilizer_oracle`` builds the raw isotropy unit tree of a chain,
   single classes and nested bunches included, and canonicalizes the whole
   descriptor with ``OrbitDescriptor.canonicalize``.  ``decomp.stabilizer``
@@ -81,6 +91,7 @@ that shares no code with the engine it checks:
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,9 +105,10 @@ from rankfilt.orbitspace import (
     Block,
     Bunch,
     DescriptorError,
+    NotTorusCommensurable,
     OrbitDescriptor,
     Wreath,
-    descriptor_cycle_index,
+    ci_product,
 )
 from rankfilt.poly import Poly, prod
 
@@ -133,6 +145,76 @@ def flag_poincare_oracle(composition):
         total += c
         acc = acc * gaussian_binomial(total, c)
     return acc.substitute_power(2)
+
+
+# ---------------------------------------------------------------------------
+# listed cycle indices
+
+# A cycle index is a map {cycle type -> number of group elements of that
+# type}, as in ``orbitspace``: cycle types are descending tuples.
+
+
+def _z_lambda(part):
+    """Size of the S_n centralizer of a permutation of cycle type ``part``."""
+    z = 1
+    for p in set(part):
+        m = part.count(p)
+        z *= p ** m * math.factorial(m)
+    return z
+
+
+def sym_cycle_index(n):
+    """Cycle index of the full symmetric group S_n: n!/z_lambda of type lambda,
+    over the listed partitions of n."""
+    return {
+        part: math.factorial(n) // _z_lambda(part)
+        for r in range(n + 1)
+        for part in partitions_into(n, r)
+    }
+
+
+def ci_plethysm(outer, inner):
+    """Cycle index of the wreath product: ``outer`` permutes copies of ``inner``.
+
+    Along an i-cycle of the outer permutation the copies have the cycles
+    of the product of their i inner elements, i times as long, and each
+    product arises from |inner|^(i-1) choices (|inner| the sum of the inner
+    counts): so lengths are scaled by i and counts by |inner|^(i-1), for
+    each listed cycle type of ``outer``.
+    """
+    size = sum(inner.values())
+    out = {}
+    for mu, n in outer.items():
+        term = {(): n}
+        for i in mu:
+            scaled = {tuple(c * i for c in p): w * size ** (i - 1) for p, w in inner.items()}
+            term = ci_product(term, scaled)
+        for p, c in term.items():
+            out[p] = out.get(p, 0) + c
+    return out
+
+
+def descriptor_cycle_index(d):
+    """Cycle index on k points of the Weyl-level group W <= S_k of the
+    torus-commensurable descriptor ``d``, with every S_n index listed.
+
+    W is generated by the symmetric groups inside each block and the
+    complement, extended by the finite part permuting identical blocks.
+    """
+    if not d.is_torus_commensurable():
+        raise NotTorusCommensurable("not torus-commensurable: %s" % d.canonical_string())
+
+    def unit(u):
+        if isinstance(u, Block):
+            return sym_cycle_index(u.size)
+        if isinstance(u, Wreath):
+            return ci_plethysm(sym_cycle_index(u.copies), unit(u.inner))
+        z = {(): 1}
+        for v in u.units:
+            z = ci_product(z, unit(v))
+        return z
+
+    return ci_product(sym_cycle_index(d.complement), unit(Bunch(d.units)))
 
 
 # ---------------------------------------------------------------------------

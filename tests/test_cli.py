@@ -1,6 +1,7 @@
 """Command-line behaviour: outputs, exit codes, determinism, cache."""
 
 import json
+import math
 import os
 import time
 
@@ -465,11 +466,9 @@ def test_molien_average_meets_the_invariant_checks(capsys, monkeypatch):
     from rankfilt import cartan, orbitspace
 
     cartan.memo.clear()
-    index = orbitspace.descriptor_cycle_index
+    series = orbitspace.molien_sum
     monkeypatch.setattr(
-        orbitspace, "descriptor_cycle_index",
-        lambda d: {part: 2 * w for part, w in index(d).items()},
-    )
+        orbitspace, "molien_sum", lambda d, top: [2 * c for c in series(d, top)])
     code, out, err = run(capsys, "poincare", "U(3)/(1)x(2)")
     assert code == 6 and out == ""
     assert "invariant violation" in err and "b_0 = 2" in err and "Traceback" not in err
@@ -529,10 +528,10 @@ def test_non_integral_molien_average_exits_6(capsys, monkeypatch):
     from rankfilt import cartan, orbitspace
 
     cartan.memo.clear()
-    index = orbitspace.descriptor_cycle_index
+    series = orbitspace.molien_sum
     monkeypatch.setattr(
-        orbitspace, "descriptor_cycle_index",
-        lambda d: {**index(d), (1,) * d.k: 2},  # a second identity
+        orbitspace, "molien_sum",  # a second identity: 1/(1 - q)^k
+        lambda d, top: [c + math.comb(i + d.k - 1, i) for i, c in enumerate(series(d, top))],
     )
     code, out, err = run(capsys, "poincare", "U(3)/(1)x(2)")
     assert code == 6 and out == ""

@@ -8,13 +8,16 @@ import random
 import pytest
 
 from oracles import (
+    ci_plethysm,
     cycle_index_by_enumeration,
+    descriptor_cycle_index,
     divide_exact,
     fixed_oracle,
     flag_poincare_oracle,
     gaussian_binomial,
     graded_char_coinv,
     molien_poincare_oracle,
+    sym_cycle_index,
     torus_commensurable_oracle,
 )
 from test_cartan import _with_finite_part
@@ -28,16 +31,16 @@ from rankfilt.orbitspace import (
     NotTorusCommensurable,
     OrbitDescriptor,
     Wreath,
-    descriptor_cycle_index,
+    ci_wreath,
     finite_part_order,
     generator_cycle_index,
     molien_poincare,
     parse_descriptor,
     real_dimension,
-    sym_cycle_index,
     weyl_order,
 )
 from rankfilt.poly import Poly
+from rankfilt.spectra import first_stage_descriptor
 
 
 def compositions_of(k):
@@ -140,6 +143,13 @@ def test_molien_matches_the_division_oracle():
         assert molien_poincare(d) == molien_poincare_oracle(d), d
 
 
+def test_first_stage_closed_form_at_large_k():
+    # U(k)/(1)xU(k-1) is CP^(k-1): the Molien series lists no cycle type of
+    # S_(k-1), so k = 40 is as cheap as k = 8
+    for k in (16, 24, 32, 40):
+        assert molien_poincare(first_stage_descriptor(k, 1)) == Poly({2 * i: 1 for i in range(k)})
+
+
 # -- cycle indices ------------------------------------------------------------
 
 
@@ -212,6 +222,17 @@ def test_cycle_index_matches_enumeration():
     for d in found:
         assert d.is_torus_commensurable() and d.k <= 7
         assert descriptor_cycle_index(d) == cycle_index_by_enumeration(d), d
+
+
+def test_wreath_recurrence_matches_the_listed_plethysm():
+    # ci_wreath runs n*h_n = sum_j p_j h_(n-j) on class counts; ci_plethysm
+    # sums over every listed cycle type of S_n
+    units = {u for d in _cube_stabilizers(7) for u in d.units}
+    assert len(units) > 20
+    for u in units:
+        inner = generator_cycle_index(OrbitDescriptor(u.dim, (u,)))
+        for n in range(1, 7):
+            assert ci_wreath(inner, n) == ci_plethysm(sym_cycle_index(n), inner), (u, n)
 
 
 def test_size_sums_match_the_leaf_lists(monkeypatch):

@@ -181,9 +181,15 @@ def test_report_stages_and_flags():
     assert verdicts[6] == "skipped (beyond M_max)"
 
 
-def test_report_k_cap():
-    with pytest.raises(ContractViolation):
-        small_range_report(9, 1)
+def test_report_at_k_32_has_no_cap():
+    # the first stage CP^31 comes from the Molien series, stages 2-4 verify
+    # and every stage beyond M_max is skipped
+    r = small_range_report(32, 1)
+    assert r.first_stage == Poly({2 * i: 1 for i in range(32)})
+    assert [s.m for s in r.stages] == list(range(1, 33))
+    assert all(s.verdict == "rationally trivial" for s in r.stages[1:4])
+    assert all(s.verdict == "skipped (beyond M_max)" for s in r.stages[4:])
+    assert r.pi0 == 1 and r.verified
 
 
 def test_report_json_schema():
