@@ -1,19 +1,17 @@
 """In-process memoization shared by the polynomial engines.
 
-Safe for concurrent readers with serialized writes; values are immutable
-polynomials, so returning shared references is fine.  The persistent JSON
-cache lives with the CLI, not here.
+Single-threaded: nothing guards the dict, as the program and its
+benchmark harness run in one thread.  Values are immutable polynomials, so
+returning shared references is fine.  The persistent JSON cache lives with
+the CLI, not here.
 """
 
 from __future__ import annotations
-
-import threading
 
 
 class Memo:
     def __init__(self):
         self._data = {}
-        self._lock = threading.Lock()
 
     def get(self, key):
         return self._data.get(key)
@@ -22,13 +20,10 @@ class Memo:
         got = self._data.get(key)
         if got is not None:
             return got
-        value = compute()
-        with self._lock:
-            return self._data.setdefault(key, value)
+        return self._data.setdefault(key, compute())
 
     def clear(self):
-        with self._lock:
-            self._data.clear()
+        self._data.clear()
 
     def __len__(self):
         return len(self._data)

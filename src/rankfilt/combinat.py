@@ -23,6 +23,7 @@ as test oracles.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 
@@ -48,22 +49,24 @@ class SummandSet:
     def __post_init__(self):
         if self.k < 1 or self.l < 1:
             raise ContractViolation("ambient ranks must be >= 1")
-        prev = None
-        for it in self.tuples:
-            if len(it) != self.t:
-                raise ContractViolation("tuple length differs from t")
-            if any(m < 0 for m in it):
-                raise ContractViolation("negative multiplicity")
-            r = sum(it)
-            if r == 0:
-                raise ContractViolation("basepoint tuple stored in a summand set")
-            if self.l * r > self.k:
-                raise ContractViolation(
-                    "tuple of rank %d cannot label a summand: %d * %d > %d" % (r, self.l, r, self.k)
-                )
-            if prev is not None and not prev < it:
-                raise ContractViolation("summand set not strictly in lexicographic order")
-            prev = it
+        tuples = self.tuples
+        if not tuples:
+            return
+        # each check is one pass over the whole set
+        if set(map(len, tuples)) != {self.t}:
+            raise ContractViolation("tuple length differs from t")
+        if self.t and min(map(min, tuples)) < 0:
+            raise ContractViolation("negative multiplicity")
+        ranks = list(map(sum, tuples))
+        if min(ranks) == 0:
+            raise ContractViolation("basepoint tuple stored in a summand set")
+        if self.l * max(ranks) > self.k:
+            r = next(r for r in ranks if self.l * r > self.k)
+            raise ContractViolation(
+                "tuple of rank %d cannot label a summand: %d * %d > %d" % (r, self.l, r, self.k)
+            )
+        if not all(map(operator.lt, tuples, tuples[1:])):
+            raise ContractViolation("summand set not strictly in lexicographic order")
 
     def __len__(self):
         return len(self.tuples)
@@ -90,25 +93,23 @@ def rank_bound(k, l, max_rank=None):
 
 
 def _tuples_with_sum_range(t, lo, hi):
-    """All length-t tuples of non-negative ints with lo <= sum <= hi, in lex order."""
+    """All length-t tuples of non-negative ints with lo <= sum <= hi, in lex
+    order, as a list.
+
+    Built level by level as (prefix, room) pairs, ``room`` being what the
+    sum may still add: each prefix takes every next entry from 0 up, which
+    keeps lex order, and the last entry only those that bring the sum to
+    at least ``lo``.
+    """
     if hi < 0 or hi < lo:
-        return
+        return []
     if t == 0:
-        if lo <= 0 <= hi:
-            yield ()
-        return
-
-    def rec(prefix, remaining_positions, min_sum, max_sum):
-        if remaining_positions == 0:
-            if min_sum <= 0:
-                yield tuple(prefix)
-            return
-        for v in range(0, max_sum + 1):
-            prefix.append(v)
-            yield from rec(prefix, remaining_positions - 1, min_sum - v, max_sum - v)
-            prefix.pop()
-
-    yield from rec([], t, lo, hi)
+        return [()] if lo <= 0 else []
+    level = [((), hi)]
+    for _ in range(t - 1):
+        level = [(prefix + (v,), room - v) for prefix, room in level for v in range(room + 1)]
+    slack = hi - lo
+    return [prefix + (v,) for prefix, room in level for v in range(max(0, room - slack), room + 1)]
 
 
 def _check_context(k, l, t, max_rank):

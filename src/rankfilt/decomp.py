@@ -38,27 +38,40 @@ representation of S_a, so the map is an isomorphism on rational
 cohomology (Serre spectral sequence).  ``_edge`` still checks every edge
 at run time, and a failure is reported as a finding, never auto-corrected.
 
-Work per chain is done once per distinct subtree.  Each ``cube_report``
-call owns three dicts, made when it starts and dropped when it returns, so
-nothing outlives the call:
+Work per chain is done once per distinct subtree, and isotropy work once
+per distinct isotropy.  Each ``cube_report`` call owns four dicts, made
+when it starts and dropped when it returns, so nothing outlives the call:
 
 * ``subtrees``: the chain trees of each (dim, level counts), built by
   ``_trees`` and shared by the enumeration of every vertex;
-* ``units``: the canonical isotropy unit of each subtree (``_node_unit``),
-  shared by every ``stabilizer`` call;
+* ``units``: the interned isotropy units, so each distinct unit is one
+  object (hash-consing).  It stores each unit under its ``key``; the unit
+  of each subtree (``_node_unit``) under the subtree; the wreath of each
+  run of identical siblings under (subtree, copies); and the
+  juxtaposition of each tuple of two or more classes under the tuple of
+  their ids, valid because the classes stay in the dict.  The keys never
+  clash: a subtree is (int, tuple), a run (tuple, int), a unit key has
+  three or more entries with 0 first or a tuple third, and an id tuple
+  holds only nonzero ints;
 * ``appended``: each subtree refined by the lines (``_append_lines``),
-  shared by every edge.
+  shared by every edge;
+* ``isotropies``: the (descriptor, Poincare polynomial) pair of each
+  distinct isotropy, by the id of the root's interned unit.  A miss calls
+  ``stabilizer`` and ``cartan.poincare`` once; every chain of that
+  isotropy then shares the pair.
 
-No root repeats within a cube, so ``units`` and ``appended`` store none.
-A vertex's Poincare polynomial is summed as sum(n * P) over its distinct
-polynomials.
+No root repeats within a cube, so neither ``units`` nor ``appended`` keys one;
+tree keys are structural, never ids, since a tree freed by one call may
+leave its id to another.  A vertex's Poincare polynomial is sum(n * P)
+over its isotropies, with n the number of its chains of each, summed in
+one pass over the integer coefficients (``_weighted_sum``).
 
 ``CubeReport.to_json`` likewise owns three dicts for the length of one
-call, so that each distinct value is rendered once:
+call, so that each distinct value is rendered once, as every chain of
+one isotropy shares one descriptor and one ``Poly``:
 
-* ``names``: the ``canonical_string()`` of each distinct descriptor;
-* ``maps``: the ``to_map()`` of each polynomial, by id, as the memo hands
-  every chain of one isotropy the same ``Poly``;
+* ``names``: the ``canonical_string()`` of each descriptor, by id;
+* ``maps``: the ``to_map()`` of each polynomial, by id;
 * ``trees``: the ``_tree_string`` of each shared subtree, by id.
 """
 
@@ -121,29 +134,60 @@ def _append_lines(node, appended):
 
 
 def _node_unit(node, l, units):
-    """Canonical isotropy unit of a chain subtree: each leaf a block of
+    """Canonical isotropy unit of a chain subtree, stored in ``units``
+    under the subtree (``_build_unit``)."""
+    got = units.get(node)
+    if got is None:
+        got = units[node] = _build_unit(node, l, units)
+    return got
+
+
+def _build_unit(node, l, units):
+    """Canonical isotropy unit of a chain tree: each leaf a block of
     tensor multiplicity ``l``, each run of identical sibling subtrees
     permuted by a wreath, the classes juxtaposed.
 
     Children of a chain tree are canonical and sorted, so a node's unit is
-    built from its children's units, each stored once in ``units``.
+    built from its children's units.  ``units`` interns them (``_intern``),
+    so each distinct unit is one object, and it stores the juxtaposition
+    of each tuple of classes under their ids: the classes stay in
+    ``units``, so their ids name them for as long as the dict lives.
     """
-    got = units.get(node)
+    dim, children = node
+    if not children:
+        return _intern(Block(dim, l), units)
+    classes = _classes(children, l, units)
+    if len(classes) == 1:
+        return classes[0]
+    ids = tuple(map(id, classes))
+    got = units.get(ids)
     if got is None:
-        dim, children = node
-        got = juxtapose(_classes(children, l, units)) if children else Block(dim, l)
-        units[node] = got
+        got = units[ids] = _intern(juxtapose(classes), units)
     return got
 
 
 def _classes(children, l, units):
-    """One unit per run of identical sorted siblings, a wreath if it repeats."""
+    """One interned unit per run of identical sorted siblings, a wreath if
+    it repeats; the wreath of ``copies`` copies of a subtree is stored in
+    ``units`` under (subtree, copies)."""
     classes = []
     for child, run in itertools.groupby(children):
         copies = len(tuple(run))
-        inner = _node_unit(child, l, units)
-        classes.append(inner if copies == 1 else Wreath(inner, copies))
+        if copies == 1:
+            got = _node_unit(child, l, units)
+        else:
+            got = units.get((child, copies))
+            if got is None:
+                got = units[child, copies] = _intern(
+                    Wreath(_node_unit(child, l, units), copies), units)
+        classes.append(got)
     return classes
+
+
+def _intern(unit, units):
+    """The one unit in ``units`` equal to ``unit``, stored under its key
+    (the key determines the unit)."""
+    return units.setdefault(unit.key, unit)
 
 
 def enumerate_chain_types(m, subset, subtrees=None):
@@ -236,11 +280,11 @@ def stabilizer(tree, l=1, k=None, units=None):
     The plain case (l = 1, k = m) yields U(m)/H with H the wreath-extended
     product of the leaf unitary groups.  In general each leaf block picks up
     tensor multiplicity l and a full complement U(k - l*m) appears.  The
-    descriptor is canonical as built.  ``units`` is a dict of subtree units
-    for this ``l`` to share between calls over one cube, like ``subtrees``;
-    a fresh one is used when none is passed.  The root's own unit is not
-    stored there, as roots never repeat: its classes go straight into the
-    descriptor.
+    descriptor is canonical as built.  ``units`` is a dict of interned
+    subtree units for this ``l`` (module docstring) to share between calls
+    over one cube, like ``subtrees``; a fresh one is used when none is
+    passed.  The root's own unit is not stored there, as roots never
+    repeat: its classes go straight into the descriptor.
     """
     m, children = tree
     if k is None:
@@ -300,9 +344,9 @@ class CubeReport:
         names, maps, trees = {}, {}, {}
 
         def name(d):
-            got = names.get(d)
+            got = names.get(id(d))
             if got is None:
-                got = names[d] = d.canonical_string()
+                got = names[id(d)] = d.canonical_string()
             return got
 
         def poly_map(p):
@@ -403,6 +447,18 @@ def _edge(subset, base_chains, extended_chains, appended):
     return EdgeVerdict(subset, matched, equal, tuple(mismatches))
 
 
+def _weighted_sum(terms):
+    """sum(n * P) over the (P, n) ``terms`` in one pass, truncated like
+    ``Poly.__add__``: at the least truncation of any term."""
+    coeffs, truncation = {}, None
+    for p, n in terms:
+        for d, c in p.coeffs.items():
+            coeffs[d] = coeffs.get(d, 0) + n * c
+        if p.truncation is not None and (truncation is None or p.truncation < truncation):
+            truncation = p.truncation
+    return Poly(coeffs, truncation)
+
+
 def cube_report(m, l=1, k=None, cutoff=None):
     """Build and verify the cube of chain spaces for C^m, generalized by (k, l).
 
@@ -420,18 +476,20 @@ def cube_report(m, l=1, k=None, cutoff=None):
         raise ContractViolation("need l >= 1 and k >= l*m")
 
     vertices = {}
-    subtrees, units, appended = {}, {}, {}
+    subtrees, units, appended, isotropies = {}, {}, {}, {}
     for subset in _subsets(range(2, m + 1)):
         chains = []
-        # [P, number of chains] by P's id: the memo hands every chain of
-        # one isotropy the same polynomial, so the vertex sum is sum(n * P)
-        counts = {}
+        counts = {}  # chains per isotropy, by its key
         for c in enumerate_chain_types(m, subset, subtrees):
-            desc = stabilizer(c, l, k, units)
-            p = cartan.poincare(desc, cutoff=cutoff)
-            chains.append((c, desc, p))
-            counts.setdefault(id(p), [p, 0])[1] += 1
-        total = sum((p * n for p, n in counts.values()), Poly.zero())
+            # the root's interned unit, kept in ``units``, names its isotropy
+            key = id(_build_unit(c, l, units))
+            got = isotropies.get(key)
+            if got is None:
+                desc = stabilizer(c, l, k, units)
+                got = isotropies[key] = (desc, cartan.poincare(desc, cutoff=cutoff))
+            chains.append((c,) + got)
+            counts[key] = counts.get(key, 0) + 1
+        total = _weighted_sum([(isotropies[key][1], n) for key, n in counts.items()])
         vertices[subset] = CubeVertex(subset, tuple(chains), total)
 
     edges = tuple(

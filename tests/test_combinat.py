@@ -5,6 +5,7 @@ summand counter is cross-checked against an independent recursive counter
 kept here, away from the implementation.
 """
 
+import itertools
 import random
 
 import pytest
@@ -243,6 +244,15 @@ def test_tuples_with_sum_range_matches_nonzero_bounded_tuples():
     for t in range(1, 5):
         for r in range(1, 5):
             assert list(_tuples_with_sum_range(t, 1, r)) == nonzero_tuples(t, r), (t, r)
+
+
+def test_tuples_with_sum_range_matches_a_filtered_product():
+    for t in range(4):
+        for lo in range(-1, 5):
+            for hi in range(-1, 5):
+                want = [e for e in itertools.product(range(max(hi, 0) + 1), repeat=t)
+                        if lo <= sum(e) <= hi]
+                assert list(_tuples_with_sum_range(t, lo, hi)) == want, (t, lo, hi)
 
 
 def test_partitions_into_covers_each_partition_once():

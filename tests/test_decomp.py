@@ -280,6 +280,51 @@ def test_shared_units_give_the_canonicalized_raw_tree():
     memo.clear()
 
 
+def test_interned_isotropies_match_fresh_stabilizers_and_polynomials():
+    # cube_report builds one descriptor and one polynomial per isotropy and
+    # hands them to every chain of it: each must be what a fresh build gives
+    for m, l, k in [(m, 1, m) for m in range(1, 9)] + [(3, 2, 8), (4, 2, 10), (3, 3, 12)]:
+        memo.clear()
+        chains = [chain for v in cube_report(m, l, k).vertices for chain in v.chains]
+        memo.clear()
+        fresh = {}
+        for c, d, p in chains:
+            assert d == stabilizer(c, l, k, {}), _tree_string(c)
+            if id(d) not in fresh:
+                fresh[id(d)] = cartan.poincare(d)
+            assert p == fresh[id(d)], _tree_string(c)
+    memo.clear()
+
+
+def test_each_isotropy_is_built_once_per_cube(monkeypatch):
+    built = []
+    real = decomp.stabilizer
+
+    def counting(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(decomp, "stabilizer", counting)
+    memo.clear()
+    chains = [chain for v in cube_report(8).vertices for chain in v.chains]
+    assert len(chains) == 5820
+    descriptors = {d for _, d, _ in chains}
+    assert len(descriptors) == len({id(d) for _, d, _ in chains}) == 125
+    assert len({id(p) for _, _, p in chains}) == 125
+    assert len(built) == len(set(built)) == 125
+    memo.clear()
+
+
+def test_vertex_sum_truncates_like_poly_addition():
+    terms = [(Poly({0: 1, 2: 3, 6: 1}), 2), (Poly({0: 1, 4: -1}, 5), 3),
+             (Poly({0: 2, 2: -6, 3: 1}, 3), 1), (Poly({1: 4}), 5)]
+    expected = sum((p * n for p, n in terms), Poly.zero())
+    got = decomp._weighted_sum(terms)
+    assert got == expected and got.truncation == 3
+    assert decomp._weighted_sum(terms[:1] + terms[3:]) == Poly({0: 2, 1: 20, 2: 6, 6: 2})
+    assert decomp._weighted_sum([]) == Poly.zero()
+
+
 def test_stabilizer_connected_part_of_extended_chain_is_torus():
     for m in (2, 3, 4):
         for subset in [(), (2,)]:
