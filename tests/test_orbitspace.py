@@ -4,6 +4,7 @@ import importlib
 import math
 import os
 import random
+import re
 
 import pytest
 
@@ -413,6 +414,36 @@ def test_grammar_rejects_garbage():
     for bad in ["U(3)", "U(3)/bogus", "U(3)/(4)", "U(2)/U(1)xU(1)x(1)", "U(3)/[S3]"]:
         with pytest.raises(DescriptorError):
             parse_descriptor(bad)
+
+
+@pytest.mark.parametrize("text, canonical", [
+    ("U(4)/2x(2)", "U(4)/(2)x(2)"),
+    ("U(4)/2x(1,1)xS2xU(2)", "U(4)/S2wr(1)xU(2)"),
+    ("U(4)/|(1)||(3)|", "U(4)/(1)x(3)"),
+    ("U(2)/0x(1)x(2)", "U(2)/(2)"),  # a zero-fold term adds nothing
+    ("U(3)/[2x(1)|S2]", "U(3)/S2wr(1)xU(1)"),
+    ("U(4)/[[2x(1)|S2]]", "U(4)/S2wr(1)xU(2)"),
+    ("U(5)/{(1)|(2)}", "U(5)/(1)x(2)xU(2)"),
+])
+def test_grammar_shorthand_spellings(text, canonical):
+    assert parse_descriptor(text).canonical_string() == canonical
+
+
+@pytest.mark.parametrize("text, message", [
+    ("U(3)/[2x(1)]S2", "no matching 2-fold term"),  # a bracket ends the term
+    ("U(3)/2x(1)xU(1)xS2", "no matching 2-fold term"),  # a complement comes between
+    ("U(3)/S2", "no matching 2-fold term"),
+    ("U(4)/[U(1)]xU(2)", "more than one complement factor"),
+    ("U(3)/[(1)", "unterminated '['"),
+    ("U(3)/(1)]", "cannot parse a unit"),
+    ("U(4)/2x2x(1)", "cannot parse a unit"),
+    ("U(3)/S0wr(1)", "wreath copy count must be >= 1"),
+    ("U(3)/0x(1)|S0", "wreath copy count must be >= 1"),
+    ("U(4)/(1,)", "expected an integer"),
+])
+def test_grammar_rejection_messages(text, message):
+    with pytest.raises(DescriptorError, match=re.escape(message)):
+        parse_descriptor(text)
 
 
 def test_partitions_of():
