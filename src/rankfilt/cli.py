@@ -26,7 +26,8 @@ their keys sort as strings: "11" comes before "2".
 
 A persistent JSON result cache can be pointed at with ``--cache`` or the
 RANKFILT_CACHE environment variable; a corrupt cache is ignored with a
-warning, never fatal.
+warning, never fatal.  ``poincare --verify-cache`` audits that cache and
+is a usage error without one.
 """
 
 from __future__ import annotations
@@ -238,7 +239,12 @@ def _summand_rows(ss, t):
 
 def cmd_poincare(args):
     desc = parse_descriptor(args.descriptor)
-    cache = ResultCache(args.cache or os.environ.get("RANKFILT_CACHE"))
+    path = args.cache or os.environ.get("RANKFILT_CACHE")
+    if args.verify_cache and not path:
+        print("error: --verify-cache needs a cache: pass --cache or set RANKFILT_CACHE",
+              file=sys.stderr)
+        return EXIT_USAGE
+    cache = ResultCache(path)
     key = ResultCache.key(desc.canonical_string(), args.engine, args.cutoff)
 
     if args.verify_cache:

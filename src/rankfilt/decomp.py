@@ -283,19 +283,15 @@ def stabilizer(tree, l=1, k=None, units=None):
     descriptor is canonical as built.  ``units`` is a dict of interned
     subtree units for this ``l`` (module docstring) to share between calls
     over one cube, like ``subtrees``; a fresh one is used when none is
-    passed.  The root's own unit is not stored there, as roots never
-    repeat: its classes go straight into the descriptor.
+    passed.
     """
-    m, children = tree
+    m, _ = tree
     if k is None:
         k = m * l
     if l < 1 or k < l * m:
         raise ContractViolation("need l >= 1 and k >= l*m")
-    if children:
-        top = flatten_units(_classes(children, l, {} if units is None else units))
-    else:
-        top = (Block(m, l),)
-    return OrbitDescriptor(k, top, k - l * m)
+    root = _build_unit(tree, l, {} if units is None else units)
+    return OrbitDescriptor(k, flatten_units((root,)), k - l * m)
 
 
 # ---------------------------------------------------------------------------

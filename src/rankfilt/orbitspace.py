@@ -37,24 +37,24 @@ Grading convention, fixed globally: one power of q is cohomological degree 2
 
 Descriptor grammar (round-trip parsed, used as cache key and CLI argument)::
 
-    descriptor := 'U(' k ')/' body
-    body       := 'e'                 trivial isotropy, alone
-                | factor ('x' factor)*
-    factor     := 'U(' c ')'          complement with a full unitary group
+    descriptor := 'U(' k ')/' ('e' | factors)   'e' is the trivial isotropy
+    factors    := ('x' | '|' | factor)+         separators may repeat
+    factor     := 'U(' c ')'                    complement with a full unitary group
+                | '[' factors ']'
+                | n 'x' unit [('x' | '|')* 'S' n]   n copies (none if n = 0), Sym(n) if marked
                 | unit
-    unit       := '(' a [',' l] ')'   single block, l defaults to 1
-                | 'S' g 'wr' unit     g identical copies permuted by Sym(g)
-                | '{' unit ('x' unit)* '}'
-    k, c, a, l, g := positive decimal integers (c may be 0)
+    unit       := '(' a [',' l] ')'             single block, l defaults to 1
+                | 'S' g 'wr' unit               g identical copies permuted by Sym(g)
+                | '{' unit (('x' | '|') unit)* '}'
+    k, c, a, l, g, n := decimal integers (k, a, l, g >= 1)
 
 If no complement factor is written, the complement is the full leftover
 k - sum(a*l); with an explicit complement the leftover beyond it is the
 fixed subspace.  So ``U(2)/(1)xU(1)`` is the projective line while
-``U(2)/U(1)`` is the unit sphere in C^2.  Bracketed forms such as
-``U(4)/[2x(1,1)|S2]xU(2)`` and ``U(3)/[S2wr(1)|x(1)]`` are accepted on
-input: inside brackets '|' separates terms, 'n x unit' abbreviates n
-juxtaposed copies, and a bare 'S<n>' marker upgrades the preceding
-n-fold term to a wreath.
+``U(2)/U(1)`` is the unit sphere in C^2.  A list of factors needs a
+unit or a complement, and one complement at most is written.  The
+shorthand works at every level: ``U(4)/2x(1,1)xS2xU(2)`` and
+``U(4)/[2x(1,1)|S2]xU(2)`` are both ``U(4)/S2wr(1)xU(2)``.
 """
 
 from __future__ import annotations
@@ -282,9 +282,6 @@ class _Scanner:
         self.text = text.replace(" ", "")
         self.pos = 0
 
-    def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
     def take(self, s):
         if self.text.startswith(s, self.pos):
             self.pos += len(s)
@@ -305,9 +302,6 @@ class _Scanner:
             raise DescriptorError("expected an integer at position %d in %r" % (start, self.text))
         return int(self.text[start:self.pos])
 
-    def done(self):
-        return self.pos >= len(self.text)
-
 
 def parse_descriptor(text):
     """Parse a descriptor string; see the module docstring for the grammar."""
@@ -317,12 +311,10 @@ def parse_descriptor(text):
     sc.expect(")")
     sc.expect("/")
     if sc.take("e"):
-        if not sc.done():
+        if sc.pos < len(sc.text):
             raise DescriptorError("the trivial isotropy 'e' must stand alone in %r" % sc.text)
         return OrbitDescriptor(k)
-    units, complement = _parse_factors(sc, bracket=False)
-    if not sc.done():
-        raise DescriptorError("trailing input at position %d in %r" % (sc.pos, sc.text))
+    units, complement = _parse_factors(sc, None)
     if complement is None:
         complement = k - sum(u.dim for u in units)
         if complement < 0:
@@ -330,79 +322,52 @@ def parse_descriptor(text):
     return OrbitDescriptor(k, tuple(units), complement).canonicalize()
 
 
-def _parse_factors(sc, bracket):
+def _parse_factors(sc, close):
+    """(units, complement or None) up to ``close``; with no ``close``, to the end."""
     units = []
     complement = None
-    pending = None  # (unit, copies) awaiting a possible S<g> upgrade
-
-    def flush():
-        nonlocal pending
-        if pending is not None:
-            unit, copies = pending
-            units.extend([unit] * copies)
-            pending = None
-
-    while True:
-        if sc.peek() in ("x", "|"):
-            sc.pos += 1
+    run = None  # (unit, n) after 'n x unit' and any separators
+    while not sc.take(close) if close else sc.pos < len(sc.text):
+        if sc.pos == len(sc.text):
+            raise DescriptorError("unterminated '[' in %r" % sc.text)
+        if sc.take("x") or sc.take("|"):
             continue
-        if bracket and sc.take("]"):
-            break
-        if sc.done():
-            if bracket:
-                raise DescriptorError("unterminated '[' in %r" % sc.text)
-            break
+        last, run, c = run, None, None
         if sc.take("["):
-            flush()
-            inner_units, inner_c = _parse_factors(sc, bracket=True)
-            units.extend(inner_units)
-            if inner_c is not None:
-                if complement is not None:
-                    raise DescriptorError("more than one complement factor")
-                complement = inner_c
-            continue
-        if sc.take("U("):
-            flush()
+            inner, c = _parse_factors(sc, "]")
+            units += inner
+        elif sc.take("U("):
             c = sc.integer()
             sc.expect(")")
+        elif sc.text[sc.pos].isdigit():
+            n = sc.integer()
+            sc.expect("x")
+            run = (_parse_unit(sc), n)
+            units += [run[0]] * n
+        elif sc.take("S"):
+            g = sc.integer()
+            if sc.take("wr"):
+                units.append(Wreath(_parse_unit(sc), g))
+            elif last and last[1] == g:
+                # a bare S<g>: the g copies just read become one wreath
+                units[len(units) - g:] = [Wreath(last[0], g)]
+            else:
+                raise DescriptorError(
+                    "symmetry marker S%d has no matching %d-fold term" % (g, g)
+                )
+        else:
+            units.append(_parse_unit(sc))
+        if c is not None:
             if complement is not None:
                 raise DescriptorError("more than one complement factor")
             complement = c
-            continue
-        if sc.peek().isdigit():
-            n = sc.integer()
-            sc.expect("x")
-            flush()
-            pending = (_parse_unit(sc), n)
-            continue
-        if sc.peek() == "S":
-            save = sc.pos
-            sc.pos += 1
-            g = sc.integer()
-            if sc.take("wr"):
-                sc.pos = save
-                flush()
-                units.append(_parse_unit(sc))
-            else:
-                # bare S<g>: wreath marker for the pending multiplicity group
-                if pending is None or pending[1] != g:
-                    raise DescriptorError(
-                        "symmetry marker S%d has no matching %d-fold term" % (g, g)
-                    )
-                units.append(Wreath(pending[0], g))
-                pending = None
-            continue
-        flush()
-        units.append(_parse_unit(sc))
-    flush()
     if not units and complement is None:
         raise DescriptorError("expected a factor before position %d in %r" % (sc.pos, sc.text))
     return units, complement
 
 
 def _parse_unit(sc):
-    if sc.peek() == "S":
-        sc.expect("S")
+    if sc.take("S"):
         g = sc.integer()
         sc.expect("wr")
         return Wreath(_parse_unit(sc), g)

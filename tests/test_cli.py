@@ -318,6 +318,22 @@ def test_env_cache_path(capsys, tmp_path, monkeypatch):
     assert code == 0 and cache.exists()
 
 
+def test_verify_cache_needs_a_cache_path(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("RANKFILT_CACHE", raising=False)
+    code, out, err = run(capsys, "poincare", "U(2)/(1)x(1)", "--verify-cache")
+    assert code == 2 and out == ""
+    assert "--cache" in err and "RANKFILT_CACHE" in err
+    # a missing or empty cache file is a cache with nothing to audit
+    (tmp_path / "empty.json").write_text("")
+    for name in ("missing.json", "empty.json"):
+        args = ("poincare", "U(2)/(1)x(1)", "--cache", str(tmp_path / name), "--verify-cache")
+        code, out, _ = run(capsys, *args)
+        assert code == 0 and "audit passed: 0 entries" in out
+    monkeypatch.setenv("RANKFILT_CACHE", str(tmp_path / "env.json"))
+    code, out, _ = run(capsys, "poincare", "U(2)/(1)x(1)", "--verify-cache")
+    assert code == 0 and "audit passed: 0 entries" in out
+
+
 def test_stale_cache_entry_is_recomputed(capsys, tmp_path):
     cache = tmp_path / "cache.json"
     args = ("poincare", "U(3)/(2)x(1)", "--cache", str(cache))
