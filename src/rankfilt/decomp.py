@@ -64,7 +64,8 @@ No root repeats within a cube, so neither ``units`` nor ``appended`` keys one;
 tree keys are structural, never ids, since a tree freed by one call may
 leave its id to another.  A vertex's Poincare polynomial is sum(n * P)
 over its isotropies, with n the number of its chains of each, summed in
-one pass over the integer coefficients (``_weighted_sum``).
+one pass over the integer coefficients (``_weighted_sum``); the signed
+sum over the vertices is summed the same way.
 
 ``CubeReport.to_json`` likewise owns three dicts for the length of one
 call, so that each distinct value is rendered once, as every chain of
@@ -493,9 +494,7 @@ def cube_report(m, l=1, k=None, cutoff=None):
         for subset in (_subsets(range(2, m)) if m > 1 else [])
     )
 
-    signed = Poly.zero()
-    for subset, v in vertices.items():
-        signed = signed + (v.poincare if len(subset) % 2 == 0 else -v.poincare)
+    signed = _weighted_sum([(v.poincare, (-1) ** len(s)) for s, v in vertices.items()])
     zero = (not signed.coeffs) if m > 1 else False
 
     return CubeReport(

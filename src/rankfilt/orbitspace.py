@@ -273,6 +273,19 @@ def real_dimension(d):
     return d.k * d.k - sum(b.size * b.size for b in d.blocks()) - d.complement * d.complement
 
 
+def finite_part_order(d):
+    """|H / H_0|: the product of the top-level units' ``finite`` orders
+    (copies! * |inner|^copies at every ``Wreath`` node)."""
+    return math.prod(u.finite for u in d.units)
+
+
+def weyl_order(d):
+    """|W| = ``finite_part_order(d)`` * prod a_b! * c! over the leaf blocks and
+    the complement, from the top-level units' ``weyl`` orders: the order of
+    the Weyl-level group W <= S_k that ``molien_sum`` sums over."""
+    return math.factorial(d.complement) * math.prod(u.weyl for u in d.units)
+
+
 # ---------------------------------------------------------------------------
 # descriptor parsing
 
@@ -296,7 +309,7 @@ class _Scanner:
 
     def integer(self):
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise DescriptorError("expected an integer at position %d in %r" % (start, self.text))
@@ -339,7 +352,7 @@ def _parse_factors(sc, close):
         elif sc.take("U("):
             c = sc.integer()
             sc.expect(")")
-        elif sc.text[sc.pos].isdigit():
+        elif "0" <= sc.text[sc.pos] <= "9":
             n = sc.integer()
             sc.expect("x")
             run = (_parse_unit(sc), n)
@@ -383,92 +396,6 @@ def _parse_unit(sc):
         sc.expect(")")
         return Block(a, l)
     raise DescriptorError("cannot parse a unit at position %d in %r" % (sc.pos, sc.text))
-
-
-# ---------------------------------------------------------------------------
-# cycle indices of the finite part on the generators
-
-# A cycle index is a map {cycle type -> number of group elements of that
-# type}: cycle types are partitions stored as descending tuples.
-
-
-def ci_product(z1, z2):
-    """Cycle index of a direct product acting on the disjoint union."""
-    out = {}
-    for p1, c1 in z1.items():
-        for p2, c2 in z2.items():
-            p = tuple(sorted(p1 + p2, reverse=True))
-            out[p] = out.get(p, 0) + c1 * c2
-    return out
-
-
-def ci_wreath(inner, copies):
-    """Cycle index of Sym(copies) permuting copies of ``inner``, by the
-    recurrence of the module docstring on class counts: C_0 = {(): 1} and
-    C_n = sum_j (n-1)!/(n-j)! |inner|^(j-1) scale(inner, j) C_{n-j}, where
-    term j counts the elements that take the first copy round a j-cycle."""
-    size = sum(inner.values())
-    terms = [{(): 1}]
-    for n in range(1, copies + 1):
-        out = {}
-        weight = 1
-        for j in range(1, n + 1):
-            scaled = {tuple(c * j for c in p): w * weight for p, w in inner.items()}
-            for p, c in ci_product(scaled, terms[n - j]).items():
-                out[p] = out.get(p, 0) + c
-            weight *= (n - j) * size
-        terms.append(out)
-    return terms[copies]
-
-
-def _generator_leaf(size):
-    """Fixed generators of degrees 2, 4, ..., 2*size of H*(BU(size)).
-
-    A generator of degree 2j is recorded as a cycle of length j, so that
-    scaling by the length L of a cycle of copies (``ci_wreath``) gives the
-    factor 1 - q^(jL) = 1 - t^(2jL) of det(1 - g t) on the copies.
-    """
-    return {tuple(range(size, 0, -1)): 1}
-
-
-def _unit_cycle_index(u):
-    if isinstance(u, Block):
-        return _generator_leaf(u.size)
-    if isinstance(u, Wreath):
-        return ci_wreath(_unit_cycle_index(u.inner), u.copies)
-    if isinstance(u, Bunch):
-        z = {(): 1}
-        for v in u.units:
-            z = ci_product(z, _unit_cycle_index(v))
-        return z
-    raise DescriptorError("unknown unit %r" % (u,))
-
-
-def generator_cycle_index(d):
-    """Cycle index of the finite part acting on the generators of H*(BH_0).
-
-    Each leaf block of size a has generators in degrees 2, ..., 2a and the
-    complement U(c) in degrees 2, ..., 2c; the finite part permutes the
-    generators of identical blocks.  A cycle of length m in a cycle type
-    stands for the factor 1 - q^m of det(1 - g q) on the generators, with
-    q = t^2, so sum_g 1/det(1 - g q) is the sum over cycle types of the
-    count divided by prod (1 - q^m).  Tensor multiplicities and a
-    fixed subspace change no generator, so every descriptor has this index.
-    """
-    return ci_product(_generator_leaf(d.complement), _unit_cycle_index(Bunch(d.units)))
-
-
-def finite_part_order(d):
-    """|H / H_0|: the product of the top-level units' ``finite`` orders
-    (copies! * |inner|^copies at every ``Wreath`` node)."""
-    return math.prod(u.finite for u in d.units)
-
-
-def weyl_order(d):
-    """|W| = ``finite_part_order(d)`` * prod a_b! * c! over the leaf blocks and
-    the complement, from the top-level units' ``weyl`` orders: the order of
-    the Weyl-level group W <= S_k that ``molien_sum`` sums over."""
-    return math.factorial(d.complement) * math.prod(u.weyl for u in d.units)
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,7 @@ class Poly:
 
     # -- formatting ------------------------------------------------------
 
-    def pretty(self, var="t"):
+    def pretty(self):
         if not self.coeffs:
             return "0"
         terms = []
@@ -177,7 +177,7 @@ class Poly:
                 body = str(abs(c))
             else:
                 mag = abs(c)
-                power = var if d == 1 else "%s^%d" % (var, d)
+                power = "t" if d == 1 else "t^%d" % d
                 body = power if mag == 1 else "%d%s" % (mag, power)
             if not terms:
                 terms.append(body if c > 0 else "-" + body)

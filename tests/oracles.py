@@ -15,7 +15,7 @@ that shares no code with the engine it checks:
   per type), and at each ``Wreath`` node every cycle type of the copy
   permutation (``ci_plethysm``).  The Molien engine lists no cycle type:
   it multiplies integer series block by block and runs the n*h_n
-  recurrence at each wreath.  ``orbitspace.ci_wreath`` runs the same
+  recurrence at each wreath.  ``cartan.ci_wreath`` runs the same
   recurrence on class counts for the Cartan engine, and the tests compare
   it with ``ci_plethysm`` over a listed S_n.
 * ``molien_poincare_oracle`` averages by polynomial division over
@@ -98,7 +98,7 @@ from fractions import Fraction
 
 from operator import add
 
-from rankfilt.cartan import InvariantViolation
+from rankfilt.cartan import InvariantViolation, ci_product
 from rankfilt.combinat import ContractViolation, partitions_into
 from rankfilt.linalg import sparse_rank
 from rankfilt.orbitspace import (
@@ -108,7 +108,6 @@ from rankfilt.orbitspace import (
     NotTorusCommensurable,
     OrbitDescriptor,
     Wreath,
-    ci_product,
 )
 from rankfilt.poly import Poly, prod
 

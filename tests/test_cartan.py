@@ -388,6 +388,22 @@ def test_duality_route_matches_every_degree():
             assert [got[i] for i in range(cutoff + 1)] == full[: cutoff + 1], (text, cutoff)
 
 
+def test_differential_rank_reduces_rows_last_first(monkeypatch):
+    # sparse_rank reduces rows in the order given; the witness passes its
+    # rows last first, which keeps the pivots short (basis order made the
+    # duality test above take minutes)
+    import rankfilt.cartan as cartan_mod
+
+    seen = []
+    monkeypatch.setattr(cartan_mod, "sparse_rank", lambda rows: seen.append(rows) or 0)
+    for text in ["U(4)/S2wr(1)xU(2)", "U(5)/(1,2)xU(3)"]:
+        kc = KoszulComplex(parse_descriptor(text))
+        for degree in range(9):
+            seen.clear()
+            kc.differential_rank(degree)
+            assert seen == [kc._image_rows(degree, True)[::-1]], (text, degree)
+
+
 def _with_finite_part():
     """Descriptors with a finite part, some with tensor multiplicity or a
     fixed subspace, among them the stabilizers of ``cube 3 --l 2 --k 8``."""

@@ -23,6 +23,7 @@ from oracles import (
 )
 from test_cartan import _with_finite_part
 from rankfilt.cache import memo
+from rankfilt.cartan import ci_wreath, generator_cycle_index
 from rankfilt.combinat import partitions_into
 from rankfilt.decomp import cube_report
 from rankfilt.orbitspace import (
@@ -32,9 +33,7 @@ from rankfilt.orbitspace import (
     NotTorusCommensurable,
     OrbitDescriptor,
     Wreath,
-    ci_wreath,
     finite_part_order,
-    generator_cycle_index,
     molien_poincare,
     parse_descriptor,
     real_dimension,
@@ -440,6 +439,10 @@ def test_grammar_shorthand_spellings(text, canonical):
     ("U(3)/S0wr(1)", "wreath copy count must be >= 1"),
     ("U(3)/0x(1)|S0", "wreath copy count must be >= 1"),
     ("U(4)/(1,)", "expected an integer"),
+    ("U(\u00b2)/e", "expected an integer"),  # digits are ASCII 0-9 only
+    ("U(4)/\u00b2x(1)xU(2)", "cannot parse a unit"),
+    ("U(\u0663)/e", "expected an integer"),
+    ("U(3)/(\u0661)xU(2)", "expected an integer"),
 ])
 def test_grammar_rejection_messages(text, message):
     with pytest.raises(DescriptorError, match=re.escape(message)):
