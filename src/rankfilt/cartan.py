@@ -64,23 +64,21 @@ G-equivariant with G acting trivially on its generators,
 
     Hilb((R/I)^G) = prod_{i<=r} (1 - t^(2i)) * (1/|G|) sum_g 1/det(1 - g t | V)
 
-for V the span of the polynomial generators.  The sum over g is a sum over
-the cycle index of G on those generators
-(:func:`generator_cycle_index`), built from the wreath tree:
-a cycle of length L through the copies of a generator of degree 2j
-contributes 1 - t^(2jL).  ``ci_wreath`` gives each wreath's
-counts by a recurrence, so no group element and no cycle type of a copy
-permutation is listed; the Molien engine runs its own form of it on
-series.  The series is summed in integers with the class counts through
-the real dimension n and divided by |G| = ``finite_part_order``; the even
-part must vanish above n - sum_{i>r} (2i - 1), the top degree of R/I.
+for V the span of the polynomial generators.  The sum over g is one
+integer series through the real dimension n (:func:`generator_series`),
+built from the wreath tree by the recurrence n h_n = sum_j p_j h_(n-j),
+with no group element and no cycle type listed; the Molien engine runs its
+own form of it on its own series.  It is divided once by |G| =
+``finite_part_order``; the even part must vanish above
+n - sum_{i>r} (2i - 1), the top degree of R/I.
 
 Every answer is checked against the Koszul ranks in the degrees through
-min(``WITNESS_DEGREES``, n), a witness that shares only the Chern images
-with the closed form; a disagreement raises :class:`EngineMismatch`.  The
-closed form holds through n, above which the cohomology vanishes, so every
-answer is exact; it is computed once per descriptor, and a cutoff only
-truncates it.
+min(``WITNESS_DEGREES``, n), a witness that shares nothing with the closed
+form; a disagreement raises :class:`EngineMismatch`.  Its rows in degree D
+read rho_i only for 2i - 1 <= D, so it builds rho_1..rho_4 for degree 8,
+degree by degree.  The closed form holds through n, above which the
+cohomology vanishes, so every answer is exact; it is computed once per
+descriptor, and a cutoff only truncates it.
 
 Everything else is graded and computed degree by degree on explicit
 monomial bases with exact sparse elimination; there is no floating point
@@ -149,16 +147,7 @@ class InvariantViolation(AssertionError):
 
 
 # ---------------------------------------------------------------------------
-# integer multivariate polynomials on exponent tuples
-
-
-def _poly_mul(p, q, nvars):
-    out = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m = tuple(m1[i] + m2[i] for i in range(nvars))
-            out[m] = out.get(m, 0) + c1 * c2
-    return {m: c for m, c in out.items() if c}
+# the finite part on exponent tuples
 
 
 def _finite_part(u):
@@ -207,74 +196,49 @@ def _swap(mono, a, w):
 
 
 # ---------------------------------------------------------------------------
-# cycle index of the finite part on the generators
-
-# A cycle index is a map {cycle type -> number of group elements of that
-# type}: cycle types are partitions stored as descending tuples.
+# the average over the finite part on the generators
 
 
-def ci_product(z1, z2):
-    """Cycle index of a direct product acting on the disjoint union."""
-    out = {}
-    for p1, c1 in z1.items():
-        for p2, c2 in z2.items():
-            p = tuple(sorted(p1 + p2, reverse=True))
-            out[p] = out.get(p, 0) + c1 * c2
-    return out
+def _generator_series(series, u, stride=1):
+    """``series`` times sum_g 1/det(1 - g q^stride), g over the finite part of
+    the unit ``u`` acting on its generators, through the length of ``series``.
 
-
-def ci_wreath(inner, copies):
-    """Cycle index of Sym(copies) permuting copies of ``inner``, by the
-    recurrence n h_n = sum_j p_j h_(n-j) on class counts: C_0 = {(): 1} and
-    C_n = sum_j (n-1)!/(n-j)! |inner|^(j-1) scale(inner, j) C_{n-j}, where
-    term j counts the elements that take the first copy round a j-cycle."""
-    size = sum(inner.values())
-    terms = [{(): 1}]
-    for n in range(1, copies + 1):
-        out = {}
+    A leaf block of size a has generators of degrees 2, ..., 2a, which g
+    fixes: each 1 - q^(j*stride) is divided out by one prefix-sum pass per
+    residue class mod j*stride.  A wreath of n copies runs n h_n =
+    sum_j p_j h_(n-j) (Macdonald, ch. I, section 2) on these sums: term j
+    counts the (n-1)!/(n-j)! |inner|^(j-1) elements that take the first copy
+    round a j-cycle, along which the inner generators see q^(j*stride).
+    """
+    if isinstance(u, Block):
+        series = list(series)
+        for step in range(stride, min(u.size * stride, len(series) - 1) + 1, stride):
+            for r in range(step):
+                series[r::step] = itertools.accumulate(series[r::step])
+        return series
+    if isinstance(u, Bunch):
+        for v in u.units:
+            series = _generator_series(series, v, stride)
+        return series
+    h = [series]
+    for n in range(1, u.copies + 1):
+        acc = [0] * len(series)
         weight = 1
         for j in range(1, n + 1):
-            scaled = {tuple(c * j for c in p): w * weight for p, w in inner.items()}
-            for p, c in ci_product(scaled, terms[n - j]).items():
-                out[p] = out.get(p, 0) + c
-            weight *= (n - j) * size
-        terms.append(out)
-    return terms[copies]
+            term = _generator_series(h[n - j], u.inner, j * stride)
+            acc = [x + weight * y for x, y in zip(acc, term)]
+            weight *= (n - j) * u.inner.finite
+        h.append(acc)
+    return h[-1]
 
 
-def _generator_leaf(size):
-    """Fixed generators of degrees 2, 4, ..., 2*size of H*(BU(size)).
-
-    A generator of degree 2j is recorded as a cycle of length j, so that
-    scaling by the length L of a cycle of copies (``ci_wreath``) gives the
-    factor 1 - q^(jL) = 1 - t^(2jL) of det(1 - g t) on the copies.
-    """
-    return {tuple(range(size, 0, -1)): 1}
-
-
-def _unit_cycle_index(u):
-    if isinstance(u, Block):
-        return _generator_leaf(u.size)
-    if isinstance(u, Wreath):
-        return ci_wreath(_unit_cycle_index(u.inner), u.copies)
-    z = {(): 1}
-    for v in u.units:
-        z = ci_product(z, _unit_cycle_index(v))
-    return z
-
-
-def generator_cycle_index(d):
-    """Cycle index of the finite part acting on the generators of H*(BH_0).
-
-    Each leaf block of size a has generators in degrees 2, ..., 2a and the
-    complement U(c) in degrees 2, ..., 2c; the finite part permutes the
-    generators of identical blocks.  A cycle of length m in a cycle type
-    stands for the factor 1 - q^m of det(1 - g q) on the generators, with
-    q = t^2, so sum_g 1/det(1 - g q) is the sum over cycle types of the
-    count divided by prod (1 - q^m).  Tensor multiplicities and a
-    fixed subspace change no generator, so every descriptor has this index.
-    """
-    return ci_product(_generator_leaf(d.complement), _unit_cycle_index(Bunch(d.units)))
+def generator_series(d, top):
+    """sum_g 1/det(1 - g q) over the finite part G of ``d`` acting on the
+    generators of H*(BH_0), in integers through q^top.  The complement U(c)
+    has the generators of a leaf block of size c, fixed by G; tensor
+    multiplicities and a fixed subspace change no generator."""
+    extra = (Block(d.complement),) if d.complement else ()
+    return _generator_series([1] + [0] * top, Bunch(tuple(d.units) + extra))
 
 
 class KoszulComplex:
@@ -286,50 +250,53 @@ class KoszulComplex:
 
         # polynomial generators: per leaf block, then the complement
         self.var_degrees = []
-        leaves = d.blocks()
         self.leaf_var_start = []
-        for b in leaves:
+        for b in d.blocks():
             self.leaf_var_start.append(len(self.var_degrees))
             self.var_degrees.extend(2 * j for j in range(1, b.size + 1))
         self.complement_var_start = len(self.var_degrees)
         self.var_degrees.extend(2 * j for j in range(1, d.complement + 1))
         self.nvars = len(self.var_degrees)
 
-        self.chern = self._chern_images(leaves)
+        # rho_1, rho_2, ...: built by _build_chern as far as a row needs them
+        self.chern = []
         # canonical: m -> least monomial in its orbit, or None; generators: (a, w) swaps
         _, canon, self.generators = _finite_part(Bunch(tuple(d.units)))
         self.canonical = functools.cache(canon) if canon else None
-        self._check_equivariance()
 
         self._mono_cache = {}
         self._basis_cache = {}
 
     # -- construction ---------------------------------------------------
 
-    def _chern_images(self, leaves):
-        """Degree-2i parts of the restricted total Chern class, i = 1..k."""
-        nv = self.nvars
-        zero = (0,) * nv
-        total = {zero: 1}
+    def _chern_images(self, through):
+        """rho_1..rho_through, the degree-2i parts of the restricted total
+        Chern class.  Each factor (1 + x_1 + ... + x_a)^mult is multiplied in
+        one degree at a time, top degree first, so every term is formed in
+        its own degree and none above 2 * ``through``."""
+        by_degree = [{(0,) * self.nvars: 1}] + [{} for _ in range(through)]
         # c(V_b)^mult per leaf block, then c(W) for the complement
-        factors = [(start, b.size, b.mult) for start, b in zip(self.leaf_var_start, leaves)]
+        factors = [(start, b.size, b.mult)
+                   for start, b in zip(self.leaf_var_start, self.descriptor.blocks())]
         factors.append((self.complement_var_start, self.descriptor.complement, 1))
         for start, size, mult in factors:
-            factor = {zero: 1}
-            for j in range(start, start + size):
-                factor[zero[:j] + (1,) + zero[j + 1:]] = 1
             for _ in range(mult):
-                total = _poly_mul(total, factor, nv)
-        by_degree = {}
-        for mono, c in total.items():
-            deg = self._mono_degree(mono)
-            if deg % 2 or deg > 2 * self.k:
-                raise InvariantViolation("restricted Chern class has a stray degree %d" % deg)
-            by_degree.setdefault(deg, {})[mono] = c
-        return [by_degree.get(2 * i, {}) for i in range(1, self.k + 1)]
+                for i in range(through, 0, -1):
+                    # x_j, of degree 2j, times the degree-2(i-j) part, not yet multiplied
+                    out = by_degree[i]
+                    for j in range(1, min(size, i) + 1):
+                        v = start + j - 1
+                        for mono, c in by_degree[i - j].items():
+                            m = mono[:v] + (mono[v] + 1,) + mono[v + 1:]
+                            out[m] = out.get(m, 0) + c
+        return by_degree[1:]
 
-    def _mono_degree(self, mono):
-        return sum(e * self.var_degrees[i] for i, e in enumerate(mono) if e)
+    def _build_chern(self, through):
+        """Hold at least rho_1..rho_through, rebuilding them when fewer are
+        held; every rebuild is checked for equivariance."""
+        if len(self.chern) < through:
+            self.chern = self._chern_images(through)
+            self._check_equivariance()
 
     def _check_equivariance(self):
         for a, w in self.generators:
@@ -404,6 +371,8 @@ class KoszulComplex:
         keeps its rank (see the module docstring).
         """
         canon = self.canonical if invariants else None
+        # the y_i of this degree, as in _exterior
+        self._build_chern(min(self.k, (degree + 1) // 2))
         src = self.basis(degree, invariants)
         tgt = self.basis(degree + 1, invariants)
         tgt_index = {b: i for i, b in enumerate(tgt)}
@@ -452,17 +421,16 @@ class KoszulComplex:
 
         P = Hilb((R/I)^G) * prod_{i>r} (1 + t^(2i-1)), r = ``nvars``, with
         the first factor the average over the finite part G of
-        prod_{i<=r} (1 - t^(2i)) / det(1 - g t), taken over the cycle index
-        of G on the polynomial generators through the real dimension.
+        prod_{i<=r} (1 - t^(2i)) / det(1 - g t), summed over G acting on the
+        polynomial generators (:func:`generator_series`) through the real
+        dimension.
         """
         d, r = self.descriptor, self.nvars
         n = real_dimension(d)
         free = range(r + 1, self.k + 1)
         top = n - sum(2 * i - 1 for i in free)
         half = n // 2  # in q = t^2
-        series = Poly.zero(half)
-        for part, count in generator_cycle_index(d).items():
-            series = series + prod((Poly.geometric(m, half) for m in part), half) * count
+        series = Poly(dict(enumerate(generator_series(d, half))), half)
         try:
             even = (series * prod(Poly.one_minus(i) for i in range(1, r + 1))).divide(
                 finite_part_order(d))

@@ -26,8 +26,11 @@ their keys sort as strings: "11" comes before "2".
 
 A persistent JSON result cache can be pointed at with ``--cache`` or the
 RANKFILT_CACHE environment variable; a corrupt cache is ignored with a
-warning, never fatal.  ``poincare --verify-cache`` audits that cache and
-is a usage error without one.
+warning, never fatal.  Each entry carries the engine version, the CRC-32 of
+the source of the modules that compute an answer (``cartan``, ``linalg``,
+``orbitspace`` and ``poly``), so any edit to them drops the old entries.
+``poincare --verify-cache`` audits that cache and is a usage error without
+one.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import functools
 import json
 import os
 import sys
+import zlib
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import cartan, combinat, decomp, spectra
@@ -52,24 +56,34 @@ EXIT_VERIFICATION = 4
 EXIT_RESOURCE = 5
 EXIT_INVARIANT = 6
 
-ENGINE_VERSION = "rankfilt-0.4.0"
-
 
 # ---------------------------------------------------------------------------
 # persistent result cache
 
 
+@functools.cache
+def engine_version():
+    """The CRC-32 of the source of the modules that compute an answer."""
+    crc = 0
+    for name in ("cartan", "linalg", "orbitspace", "poly"):
+        with open(os.path.join(os.path.dirname(__file__), name + ".py"), "rb") as fh:
+            crc = zlib.crc32(fh.read(), crc)
+    return "rankfilt-%08x" % crc
+
+
 class ResultCache:
     """Single-document JSON cache of polynomial computations.
 
-    Entries written by another engine version are dropped on load, so an
-    engine change never serves old values.  Saving writes a temporary file
-    beside the cache and renames it over the old one, so a crash leaves
-    either the old document or the new one, never a torn file.
+    Entries written by another ``engine_version`` are dropped on load, so
+    an engine change never serves old values; the version is computed only
+    for a cache with a path.  Saving writes a temporary file beside the
+    cache and renames it over the old one, so a crash leaves either the old
+    document or the new one, never a torn file.
     """
 
     def __init__(self, path):
         self.path = path
+        self.version = engine_version() if path else None
         self.entries = {}
         self.dirty = False
         if path and os.path.exists(path):
@@ -80,7 +94,7 @@ class ResultCache:
                     raise ValueError("unexpected cache layout")
                 self.entries = {
                     key: entry for key, entry in doc["entries"].items()
-                    if isinstance(entry, dict) and entry.get("engine_version") == ENGINE_VERSION
+                    if isinstance(entry, dict) and entry.get("engine_version") == self.version
                 }
             except (OSError, ValueError) as exc:
                 print("warning: ignoring cache %s (%s)" % (path, exc), file=sys.stderr)
@@ -102,14 +116,14 @@ class ResultCache:
         self.entries[key] = {
             "value": poly.to_map(),
             "truncation": poly.truncation,
-            "engine_version": ENGINE_VERSION,
+            "engine_version": self.version,
         }
         self.dirty = True
 
     def save(self):
         if not self.path or not self.dirty:
             return
-        doc = {"version": 1, "engine_version": ENGINE_VERSION, "entries": self.entries}
+        doc = {"version": 1, "engine_version": self.version, "entries": self.entries}
         tmp = "%s.%d.tmp" % (self.path, os.getpid())
         try:
             with open(tmp, "w") as fh:

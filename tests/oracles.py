@@ -15,9 +15,14 @@ that shares no code with the engine it checks:
   per type), and at each ``Wreath`` node every cycle type of the copy
   permutation (``ci_plethysm``).  The Molien engine lists no cycle type:
   it multiplies integer series block by block and runs the n*h_n
-  recurrence at each wreath.  ``cartan.ci_wreath`` runs the same
-  recurrence on class counts for the Cartan engine, and the tests compare
-  it with ``ci_plethysm`` over a listed S_n.
+  recurrence at each wreath.
+* ``generator_cycle_index`` lists the cycle index of the finite part of
+  any descriptor on the generators of H*(BH_0) the same way, with
+  ``ci_plethysm`` over every listed cycle type of each S_n; a generator
+  of degree 2j is a cycle of length j.  ``cartan.generator_series`` lists
+  no cycle type: it sums 1/det(1 - g q) as one integer series, with its
+  own n*h_n recurrence at each wreath, and the tests compare it with
+  sum count / prod (1 - q^m) over this index.
 * ``molien_poincare_oracle`` averages by polynomial division over
   ``descriptor_cycle_index``: for each cycle type it divides
   prod_{i<=k} (1 - q^i) by prod_{c in lambda} (1 - q^c) with
@@ -51,8 +56,8 @@ that shares no code with the engine it checks:
   the exterior part: it tries all 2^k subsets of y_1..y_k in every degree,
   so it checks that the bounded enumeration drops only subsets that cannot
   fit and keeps the order.
-* ``full_ring_minimal_generators`` decides minimality of each Chern image
-  in the whole polynomial ring R, complement variables included, with one
+* ``full_ring_minimal_generators`` builds all k Chern images and decides
+  the minimality of each in the whole polynomial ring R, complement variables included, with one
   ``linalg.sparse_rank`` comparison per nonzero rho_i and no shortcut.  The
   engine ranks nothing here: it takes rho_1..rho_r as the minimal
   generators by the theorem in the ``cartan`` module docstring, which this
@@ -98,7 +103,7 @@ from fractions import Fraction
 
 from operator import add
 
-from rankfilt.cartan import InvariantViolation, ci_product
+from rankfilt.cartan import InvariantViolation
 from rankfilt.combinat import ContractViolation, partitions_into
 from rankfilt.linalg import sparse_rank
 from rankfilt.orbitspace import (
@@ -150,7 +155,7 @@ def flag_poincare_oracle(composition):
 # listed cycle indices
 
 # A cycle index is a map {cycle type -> number of group elements of that
-# type}, as in ``orbitspace``: cycle types are descending tuples.
+# type}: cycle types are descending tuples.
 
 
 def _z_lambda(part):
@@ -160,6 +165,16 @@ def _z_lambda(part):
         m = part.count(p)
         z *= p ** m * math.factorial(m)
     return z
+
+
+def ci_product(z1, z2):
+    """Cycle index of a direct product acting on the disjoint union."""
+    out = {}
+    for p1, c1 in z1.items():
+        for p2, c2 in z2.items():
+            p = tuple(sorted(p1 + p2, reverse=True))
+            out[p] = out.get(p, 0) + c1 * c2
+    return out
 
 
 def sym_cycle_index(n):
@@ -214,6 +229,33 @@ def descriptor_cycle_index(d):
         return z
 
     return ci_product(sym_cycle_index(d.complement), unit(Bunch(d.units)))
+
+
+def generator_cycle_index(d):
+    """Cycle index of the finite part of ``d`` acting on the generators of
+    H*(BH_0), with every S_n index listed.
+
+    A leaf block of size a, and the complement U(a), has generators of
+    degrees 2, ..., 2a, fixed by every element, recorded as the cycles
+    (a, ..., 1): a cycle of length m stands for the factor 1 - q^m of
+    det(1 - g q), q = t^2, and ``ci_plethysm`` scales it along a cycle of
+    copies.  Tensor multiplicities and a fixed subspace change no generator.
+    """
+
+    def leaf(a):
+        return {tuple(range(a, 0, -1)): 1}
+
+    def unit(u):
+        if isinstance(u, Block):
+            return leaf(u.size)
+        if isinstance(u, Wreath):
+            return ci_plethysm(sym_cycle_index(u.copies), unit(u.inner))
+        z = {(): 1}
+        for v in u.units:
+            z = ci_product(z, unit(v))
+        return z
+
+    return ci_product(leaf(d.complement), unit(Bunch(d.units)))
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +454,7 @@ def full_ring_minimal_generators(kc):
     x^alpha rho_j (j < i, rho_j minimal) in degree 2i, with x^alpha over
     every generator of R.
     """
+    kc._build_chern(kc.k)
     minimal = []
     for i, rho in enumerate(kc.chern, start=1):
         if not rho:

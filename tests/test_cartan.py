@@ -72,6 +72,7 @@ def test_pu_closed_forms():
 def test_pu2_differential_shape():
     # d(y1) = 2u, d(y2) = u^2 for the central circle inside U(2)
     kc = KoszulComplex(OrbitDescriptor(2, (Block(1, 2),), 0))
+    kc._build_chern(kc.k)
     assert kc.chern[0] == {(1,): 2}
     assert kc.chern[1] == {(2,): 1}
 
@@ -98,9 +99,21 @@ def test_d_squared_zero():
 
 def test_chern_images_homogeneous():
     kc = KoszulComplex(OrbitDescriptor(4, (Block(2, 1), Block(1)), 1))
+    kc._build_chern(kc.k)
+    assert len(kc.chern) == kc.k
     for i, rho in enumerate(kc.chern, start=1):
         for mono in rho:
-            assert kc._mono_degree(mono) == 2 * i
+            assert sum(e * w for e, w in zip(mono, kc.var_degrees)) == 2 * i
+
+
+def test_witness_builds_only_the_images_it_reads():
+    # the rows through degree 8 read y_1..y_4, so only rho_1..rho_4 are built
+    kc = KoszulComplex(parse_descriptor("U(8)/S8wr(1)"))
+    assert kc.chern == []
+    kc.cohomology_dims(8)
+    assert len(kc.chern) == 4
+    kc.cohomology_dims(20)
+    assert len(kc.chern) == 8
 
 
 def test_invariant_dims_examples():
@@ -316,12 +329,14 @@ def test_broken_symmetry_is_caught_on_generators():
 
         broken = (0,)
 
-        def _chern_images(self, leaves):
-            chern = super()._chern_images(leaves)
+        def _chern_images(self, through):
+            chern = super()._chern_images(through)
+            if through < len(self.broken):
+                return chern
             mono = [0] * self.nvars
             for leaf in self.broken:
                 mono[self.leaf_var_start[leaf]] = 1
-            rho = chern[len(self.broken) - 1] = dict(chern[len(self.broken) - 1])
+            rho = chern[len(self.broken) - 1]
             rho[tuple(mono)] = rho.get(tuple(mono), 0) + 1
             return chern
 
@@ -333,16 +348,18 @@ def test_broken_symmetry_is_caught_on_generators():
         # fixed by the outer swap, not by the inner ones
         ("U(4)/S2wrS2wr(1)", [(0, 2)]),
     ]
+    # the images are built, and checked, on first need
     for text, breaks in cases:
         d = parse_descriptor(text)
-        KoszulComplex(d)
+        KoszulComplex(d)._build_chern(d.k)
         for broken in breaks:
             Lopsided.broken = broken
+            kc = Lopsided(d)
             with pytest.raises(InvariantViolation):
-                Lopsided(d)
+                kc._build_chern(d.k)
     # a block outside every wreath may be lopsided
     Lopsided.broken = (0,)
-    Lopsided(parse_descriptor("U(5)/S2wrS2wr(1)x(1)"))
+    Lopsided(parse_descriptor("U(5)/S2wrS2wr(1)x(1)"))._build_chern(5)
 
 
 # -- the complete-intersection route against the full Koszul cohomology ------
@@ -531,10 +548,10 @@ def test_degree_zero_must_be_one(monkeypatch):
     import rankfilt.cartan as cartan_mod
 
     # every weight of the average doubled
-    cycle_index = cartan_mod.generator_cycle_index
+    series = cartan_mod.generator_series
     monkeypatch.setattr(
-        cartan_mod, "generator_cycle_index",
-        lambda d: {part: 2 * w for part, w in cycle_index(d).items()},
+        cartan_mod, "generator_series",
+        lambda d, top: [2 * c for c in series(d, top)],
     )
     for text in ["U(3)/(1,2)xU(1)", "U(4)/S2wr(1)xU(2)"]:
         memo.clear()

@@ -162,9 +162,9 @@ def test_invariant_violation_exit_code(capsys, monkeypatch):
 
     chern_images = cartan.KoszulComplex._chern_images
 
-    def lopsided(self, leaves):
+    def lopsided(self, through):
         # add the first Chern root of leaf 0 alone to c_1: no longer symmetric
-        chern = chern_images(self, leaves)
+        chern = chern_images(self, through)
         mono = [0] * self.nvars
         mono[self.leaf_var_start[0]] = 1
         chern[0] = dict(chern[0])
@@ -347,9 +347,21 @@ def test_stale_cache_entry_is_recomputed(capsys, tmp_path):
     code, out, _ = run(capsys, *args)
     assert code == 0 and out == fresh
     entry = json.loads(cache.read_text())["entries"][key]
-    assert entry["engine_version"] == cli.ENGINE_VERSION
+    assert entry["engine_version"] == cli.engine_version()
     assert entry["value"] == {"0": 1, "2": 1, "4": 1}
     assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+
+
+def test_cache_entry_from_other_engine_source_is_a_miss(capsys, tmp_path, monkeypatch):
+    cache = tmp_path / "cache.json"
+    args = ("poincare", "U(3)/(2)x(1)", "--cache", str(cache))
+    code, _, _ = run(capsys, *args)
+    assert code == 0
+    (key,) = json.loads(cache.read_text())["entries"]
+    assert cli.ResultCache(str(cache)).get(key) is not None
+    # the same file, read by an engine whose source has changed
+    monkeypatch.setattr(cli, "engine_version", lambda: "rankfilt-00000000")
+    assert cli.ResultCache(str(cache)).get(key) is None
 
 
 def test_cache_entry_that_is_not_a_map_is_a_miss(capsys, tmp_path):

@@ -16,6 +16,7 @@ from oracles import (
     fixed_oracle,
     flag_poincare_oracle,
     gaussian_binomial,
+    generator_cycle_index,
     graded_char_coinv,
     molien_poincare_oracle,
     sym_cycle_index,
@@ -23,7 +24,7 @@ from oracles import (
 )
 from test_cartan import _with_finite_part
 from rankfilt.cache import memo
-from rankfilt.cartan import ci_wreath, generator_cycle_index
+from rankfilt.cartan import generator_series
 from rankfilt.combinat import partitions_into
 from rankfilt.decomp import cube_report
 from rankfilt.orbitspace import (
@@ -39,7 +40,7 @@ from rankfilt.orbitspace import (
     real_dimension,
     weyl_order,
 )
-from rankfilt.poly import Poly
+from rankfilt.poly import Poly, prod
 from rankfilt.spectra import first_stage_descriptor
 
 
@@ -224,15 +225,17 @@ def test_cycle_index_matches_enumeration():
         assert descriptor_cycle_index(d) == cycle_index_by_enumeration(d), d
 
 
-def test_wreath_recurrence_matches_the_listed_plethysm():
-    # ci_wreath runs n*h_n = sum_j p_j h_(n-j) on class counts; ci_plethysm
-    # sums over every listed cycle type of S_n
-    units = {u for d in _cube_stabilizers(7) for u in d.units}
-    assert len(units) > 20
-    for u in units:
-        inner = generator_cycle_index(OrbitDescriptor(u.dim, (u,)))
-        for n in range(1, 7):
-            assert ci_wreath(inner, n) == ci_plethysm(sym_cycle_index(n), inner), (u, n)
+def test_generator_series_matches_the_listed_cycle_index():
+    # generator_series runs n*h_n = sum_j p_j h_(n-j) on integer series;
+    # the oracle sums count / prod (1 - q^m) over every listed cycle type
+    top = 24
+    cases = _cube_stabilizers(7) | set(_with_finite_part())
+    assert len(cases) > 100
+    for d in cases:
+        listed = Poly.zero(top)
+        for part, count in generator_cycle_index(d).items():
+            listed = listed + prod((Poly.geometric(m, top) for m in part), top) * count
+        assert generator_series(d, top) == [listed[i] for i in range(top + 1)], d
 
 
 def test_size_sums_match_the_leaf_lists(monkeypatch):
