@@ -9,7 +9,6 @@ import re
 import pytest
 
 from oracles import (
-    ci_plethysm,
     cycle_index_by_enumeration,
     descriptor_cycle_index,
     divide_exact,
