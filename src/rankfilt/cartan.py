@@ -406,6 +406,8 @@ class KoszulComplex:
 
     def cohomology_dims(self, cutoff, invariants=True):
         """Graded dimensions of cohomology in degrees 0..cutoff."""
+        # every image the rows below read, built and checked once
+        self._build_chern(min(self.k, (cutoff + 1) // 2))
         dims = self.dims(cutoff, invariants)
         ranks = [self.differential_rank(d, invariants) for d in range(cutoff + 1)]
         out = []

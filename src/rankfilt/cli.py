@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import os
 import sys
@@ -127,8 +128,9 @@ class ResultCache:
         tmp = "%s.%d.tmp" % (self.path, os.getpid())
         try:
             with open(tmp, "w") as fh:
-                json.dump(doc, fh, sort_keys=True)
-                fh.write("\n")
+                # json.dump streams through the pure-Python encoder; dumps
+                # takes the C one and spells the same bytes
+                fh.write(json.dumps(doc, sort_keys=True) + "\n")
             os.replace(tmp, self.path)
         except OSError as exc:
             with contextlib.suppress(OSError):
@@ -152,8 +154,12 @@ def write_json(value, write, indent=""):
     sort_keys=True, indent=2)`` spells it, a piece at a time.
 
     A list, tuple or dict whose items (for a dict, values) are all plain
-    ints is written in one join; a bool is not a plain int here.  Any other
-    container recurses, one ``write`` per item.  Keys must be strings.
+    ints is written in one join; a bool is not a plain int here.  A list or
+    tuple of rows, each a non-empty list or tuple of plain ints (a summand
+    table), is written one ``write`` per row, from one ``%d`` template per
+    row length; one join of every row would hold the whole text at once.
+    Any other container recurses, one ``write`` per item.  Keys must be
+    strings.
     """
     if isinstance(value, str):
         write(_encode_str(value))
@@ -188,6 +194,17 @@ def write_json(value, write, indent=""):
             write("[\n%s%s\n%s]" % (inner, (",\n" + inner).join(map(str, value)), indent))
             return
         sep = "[\n" + inner
+        if _int_rows(value):
+            templates = {}
+            for row in value:
+                template = templates.get(len(row))
+                if template is None:
+                    template = templates[len(row)] = "[\n%s  %s\n%s]" % (
+                        inner, (",\n%s  " % inner).join(["%d"] * len(row)), inner)
+                write(sep + template % tuple(row))
+                sep = ",\n" + inner
+            write("\n%s]" % indent)
+            return
         for item in value:
             write(sep)
             write_json(item, write, inner)
@@ -195,6 +212,13 @@ def write_json(value, write, indent=""):
         write("\n%s]" % indent)
     else:
         write(json.dumps(value))
+
+
+def _int_rows(value):
+    """True when every item of ``value`` is a non-empty list or tuple of
+    plain ints (a bool is not one), tested at C speed."""
+    return (set(map(type, value)) <= {list, tuple} and all(value)
+            and set(map(type, itertools.chain.from_iterable(value))) == {int})
 
 
 def emit_json(doc):
@@ -302,7 +326,7 @@ def cmd_cube(args):
         raise ContractViolation(
             "m=%d is beyond M_max=%d; pass --allow-large to force" % (args.m, spectra.M_MAX)
         )
-    report = decomp.cube_report(args.m, args.l, args.k, cutoff=args.cutoff)
+    report = decomp.cube_report(args.m, args.l, args.k, cutoff=args.cutoff, chains=args.json)
     if args.json:
         emit_json(report.to_json())
     else:

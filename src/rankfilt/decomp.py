@@ -15,8 +15,8 @@ counts exactly, and every leaf sits on the finest level.
 
 For a subset U of {2, ..., m} the cube vertex X(U) is the space of chains
 whose level component counts are the elements of U; it is a finite disjoint
-union of unitary orbits, one per chain type, and is recorded as the list of
-(chain tree, isotropy descriptor, Poincare polynomial).  The verification
+union of unitary orbits, one per chain type, each with its (chain tree,
+isotropy descriptor, Poincare polynomial).  The verification
 that the total cofiber of the cube is rationally trivial proceeds by the
 direction-m edge pairing: appending the full line decomposition below the
 finest level must be a bijection from the chain types of X(U) to those of
@@ -39,33 +39,38 @@ cohomology (Serre spectral sequence).  ``_edge`` still checks every edge
 at run time, and a failure is reported as a finding, never auto-corrected.
 
 Work per chain is done once per distinct subtree, and isotropy work once
-per distinct isotropy.  Each ``cube_report`` call owns four dicts, made
-when it starts and dropped when it returns, so nothing outlives the call:
+per distinct isotropy.  Each ``cube_report`` call owns one ``NodeTable``,
+made when it starts and dropped when it returns, so nothing outlives the
+call.  In it a proper subtree is an int id, one per distinct (dim, child
+ids), and the subtree's dim, child ids, isotropy unit and appended id are
+list entries indexed by the id, each computed once:
 
-* ``subtrees``: the chain trees of each (dim, level counts), built by
-  ``_trees`` and shared by the enumeration of every vertex;
-* ``units``: the interned isotropy units, so each distinct unit is one
-  object (hash-consing).  It stores each unit under its ``key``; the unit
-  of each subtree (``_node_unit``) under the subtree; the wreath of each
-  run of identical siblings under (subtree, copies); and the
-  juxtaposition of each tuple of two or more classes under the tuple of
-  their ids, valid because the classes stay in the dict.  The keys never
-  clash: a subtree is (int, tuple), a run (tuple, int), a unit key has
-  three or more entries with 0 first or a tuple third, and an id tuple
-  holds only nonzero ints;
-* ``appended``: each subtree refined by the lines (``_append_lines``),
-  shared by every edge;
-* ``isotropies``: the (descriptor, Poincare polynomial) pair of each
-  distinct isotropy, by the id of the root's interned unit.  A miss calls
-  ``stabilizer`` and ``cartan.poincare`` once; every chain of that
-  isotropy then shares the pair.
+* siblings are ordered by (dim, id), descending.  Structurally equal
+  subtrees get one id, so every multiset of siblings has one spelling,
+  and the twin rule of the enumeration compares ints;
+* a root is the tuple of its child ids and is not interned, as no root
+  repeats within a cube.  Appending the lines maps each child to its
+  appended id and sorts the few results again, so an edge is a lookup of
+  small int tuples;
+* the units are interned (hash-consing): each distinct unit is stored
+  under its ``key``, the wreath of each run of identical siblings under
+  (id, copies), and the juxtaposition of each tuple of two or more
+  classes under the tuple of their ids, valid because the table keeps
+  the classes alive.
 
-No root repeats within a cube, so neither ``units`` nor ``appended`` keys one;
-tree keys are structural, never ids, since a tree freed by one call may
-leave its id to another.  A vertex's Poincare polynomial is sum(n * P)
-over its isotropies, with n the number of its chains of each, summed in
-one pass over the integer coefficients (``_weighted_sum``); the signed
-sum over the vertices is summed the same way.
+Beside the table the call keeps ``isotropies``: the (descriptor, Poincare
+polynomial) pair of each distinct isotropy, by the id of the root's
+interned unit.  A miss calls ``stabilizer`` and ``cartan.poincare`` once;
+every chain of that isotropy then shares the pair.  The cube is walked
+edge by edge: X(U), then X(U + {m}), then the edge between them, after
+which only the two vertex sums are kept.  A vertex's Poincare polynomial
+is sum(n * P) over its isotropies, with n the number of its chains of
+each, summed in one pass over the integer coefficients
+(``_weighted_sum``); the signed sum over the vertices is summed the same
+way.  Chain trees in the structural form above, their order and their
+strings are built only when asked for: by ``cube_report(...,
+chains=True)``, which ``--json`` passes, and for the findings of a
+failed edge.
 
 ``CubeReport.to_json`` likewise owns three dicts for the length of one
 call, so that each distinct value is rendered once, as every chain of
@@ -79,6 +84,7 @@ one isotropy shares one descriptor and one ``Poly``:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from . import cartan
@@ -112,146 +118,182 @@ def connectivity(m):
 # chain types
 
 
-def _append_lines(node, appended):
-    """Refine the finest level of a chain tree by the full line decomposition.
+class NodeTable:
+    """The chain subtrees of one cube over C^m as int ids, with their
+    isotropy units for tensor multiplicity ``l`` (module docstring).
 
-    The refinement is strictly increasing on the subtrees of one depth (all
-    leaves or all inner nodes, since leaves sit only on the finest level)
-    and keeps dimensions, so sorted siblings stay sorted and the result is
-    canonical without a sort.  Each refined child is stored in ``appended``,
-    a dict shared over one cube; the node itself is not, as roots never
-    repeat.
+    ``dim``, ``kids``, ``unit`` and ``appended`` are lists indexed by id:
+    a subtree's dim, its child ids ordered by (dim, id) descending, its
+    interned isotropy unit, and the id of the subtree refined by the lines
+    (None until ``append`` asks for it).
     """
-    dim, children = node
-    if not children:
-        return (dim, ((1, ()),) * dim)
-    refined = []
-    for child in children:
-        got = appended.get(child)
+
+    def __init__(self, m, l=1):
+        self.m, self.l = m, l
+        self.dim, self.kids, self.unit, self.appended = [], [], [], []
+        # kids -> id for an inner node, whose dim is the sum of its
+        # children's; dim -> id for a leaf
+        self.ids = {}
+        self.forests = {}  # (dim, level counts) -> ids of those subtrees
+        self.units = {}  # each distinct unit, by its key
+        self.wreaths = {}  # (id, copies) -> the wreath of copies of that subtree
+        self.joins = {}  # ids of two or more classes -> their juxtaposition
+        self.trees = {}  # id -> the structural subtree, built on demand
+
+    def node(self, dim, kids):
+        """The id of the subtree (``dim``, ``kids``), ``kids`` in table
+        order; a new id gets its unit at once, from its children's."""
+        key = kids or dim
+        got = self.ids.get(key)
         if got is None:
-            got = appended[child] = _append_lines(child, appended)
-        refined.append(got)
-    return (dim, tuple(refined))
+            got = self.ids[key] = len(self.dim)
+            self.dim.append(dim)
+            self.kids.append(kids)
+            self.unit.append(self.unit_of(dim, kids))
+            self.appended.append(None)
+        return got
 
+    def ordered(self, ids):
+        """``ids`` as a sibling tuple: by (dim, id), descending."""
+        return tuple(sorted(sorted(ids, reverse=True), key=self.dim.__getitem__, reverse=True))
 
-def _node_unit(node, l, units):
-    """Canonical isotropy unit of a chain subtree, stored in ``units``
-    under the subtree (``_build_unit``)."""
-    got = units.get(node)
-    if got is None:
-        got = units[node] = _build_unit(node, l, units)
-    return got
+    # -- enumeration ------------------------------------------------------
 
+    def subtrees(self, dim, counts):
+        """Ids of the chain trees of dim ``dim`` with ``counts[j]`` nodes on
+        level j + 1 below the root, listed once in ``forests``."""
+        key = (dim, counts)
+        got = self.forests.get(key)
+        if got is None:
+            node = self.node
+            got = self.forests[key] = [node(dim, kids) for kids in self.child_tuples(dim, counts)]
+        return got
 
-def _build_unit(node, l, units):
-    """Canonical isotropy unit of a chain tree: each leaf a block of
-    tensor multiplicity ``l``, each run of identical sibling subtrees
-    permuted by a wreath, the classes juxtaposed.
+    def child_tuples(self, dim, counts):
+        """The child-id tuples of those trees: the root splits into
+        ``counts[0]`` parts, and the children of each split come from
+        ``children``.  Each level spends exactly its count, leaves sit only
+        on the finest level, and siblings are in table order, so every tree
+        has one spelling and none is built twice."""
+        if not counts:
+            return [()]
+        rest = counts[1:]
+        return [kids for part in partitions_into(dim, counts[0])
+                for kids in self.children(part, rest)]
 
-    Children of a chain tree are canonical and sorted, so a node's unit is
-    built from its children's units.  ``units`` interns them (``_intern``),
-    so each distinct unit is one object, and it stores the juxtaposition
-    of each tuple of classes under their ids: the classes stay in
-    ``units``, so their ids name them for as long as the dict lives.
-    """
-    dim, children = node
-    if not children:
-        return _intern(Block(dim, l), units)
-    classes = _classes(children, l, units)
-    if len(classes) == 1:
-        return classes[0]
-    ids = tuple(map(id, classes))
-    got = units.get(ids)
-    if got is None:
-        got = units[ids] = _intern(juxtapose(classes), units)
-    return got
+    def children(self, part, counts):
+        """Sibling tuples of chain trees with dims ``part`` (a descending
+        partition) whose level counts add up to ``counts``.
 
+        The first child takes each level-count profile ``own`` that
+        ``_profiles`` leaves room for, and the later children are the tuples
+        for ``part[1:]`` and the counts left over.  Children of unequal dims
+        are ordered by dim; when the second dim equals the first, only tails
+        whose first id is at most the first child's are kept.
+        """
+        dim = part[0]
+        if len(part) == 1:
+            return [(i,) for i in self.subtrees(dim, counts)]
+        out = []
+        twin = part[1] == dim
+        for own in _profiles(dim, counts, len(part) - 1, sum(part[1:])):
+            tails = self.children(part[1:], tuple([a - b for a, b in zip(counts, own)]))
+            for i in self.subtrees(dim, own):
+                head = (i,)
+                out.extend([head + tail for tail in tails if tail[0] <= i] if twin
+                           else [head + tail for tail in tails])
+        return out
 
-def _classes(children, l, units):
-    """One interned unit per run of identical sorted siblings, a wreath if
-    it repeats; the wreath of ``copies`` copies of a subtree is stored in
-    ``units`` under (subtree, copies)."""
-    classes = []
-    for child, run in itertools.groupby(children):
-        copies = len(tuple(run))
-        if copies == 1:
-            got = _node_unit(child, l, units)
+    # -- isotropy units ---------------------------------------------------
+
+    def intern(self, unit):
+        """The one unit in ``units`` equal to ``unit``, stored under its key
+        (the key determines the unit)."""
+        return self.units.setdefault(unit.key, unit)
+
+    def unit_of(self, dim, kids):
+        """Canonical isotropy unit of the tree (``dim``, ``kids``): a leaf
+        is a block of tensor multiplicity ``l``; otherwise each run of equal
+        siblings (adjacent, as siblings are sorted) is permuted by a wreath
+        if it repeats, and the classes are juxtaposed.  The juxtaposition is
+        stored under the ids of its classes, which the table keeps alive."""
+        if not kids:
+            return self.intern(Block(dim, self.l))
+        if len(set(kids)) == len(kids):  # no run repeats
+            classes = list(map(self.unit.__getitem__, kids))
         else:
-            got = units.get((child, copies))
-            if got is None:
-                got = units[child, copies] = _intern(
-                    Wreath(_node_unit(child, l, units), copies), units)
-        classes.append(got)
-    return classes
+            classes = []
+            for kid, run in itertools.groupby(kids):
+                copies = len(tuple(run))
+                if copies == 1:
+                    classes.append(self.unit[kid])
+                    continue
+                got = self.wreaths.get((kid, copies))
+                if got is None:
+                    got = self.wreaths[kid, copies] = self.intern(Wreath(self.unit[kid], copies))
+                classes.append(got)
+        if len(classes) == 1:
+            return classes[0]
+        ids = tuple(map(id, classes))
+        got = self.joins.get(ids)
+        if got is None:
+            got = self.joins[ids] = self.intern(juxtapose(classes))
+        return got
+
+    # -- the lines --------------------------------------------------------
+
+    def refine(self, dim, kids):
+        """The children of the tree (``dim``, ``kids``) with its finest level
+        refined by the full line decomposition: a leaf splits into ``dim``
+        lines, an inner node refines each child (``append``).  Dims are
+        kept, but ids are not in structural order, so the result is sorted
+        again."""
+        if not kids:
+            return (self.node(1, ()),) * dim
+        return self.ordered(map(self.append, kids))
+
+    def append(self, i):
+        """The id of subtree ``i`` refined by the lines, built once."""
+        got = self.appended[i]
+        if got is None:
+            got = self.appended[i] = self.node(self.dim[i], self.refine(self.dim[i], self.kids[i]))
+        return got
+
+    # -- structural trees -------------------------------------------------
+
+    def tree(self, i):
+        """Subtree ``i`` as a chain tree (dim, children), children sorted
+        descending, built once."""
+        got = self.trees.get(i)
+        if got is None:
+            got = self.trees[i] = (
+                self.dim[i], tuple(sorted(map(self.tree, self.kids[i]), reverse=True)))
+        return got
+
+    def root_tree(self, root):
+        """The chain tree of dim m with children ``root``."""
+        return (self.m, tuple(sorted(map(self.tree, root), reverse=True)))
+
+    def kids_of(self, tree):
+        """The children of the chain tree ``tree`` in table order, each
+        subtree interned: the inverse of ``root_tree``."""
+        return self.ordered([self.node(c[0], self.kids_of(c)) for c in tree[1]])
 
 
-def _intern(unit, units):
-    """The one unit in ``units`` equal to ``unit``, stored under its key
-    (the key determines the unit)."""
-    return units.setdefault(unit.key, unit)
-
-
-def enumerate_chain_types(m, subset, subtrees=None):
-    """All chain types over C^m with level component counts ``subset``.
+def enumerate_chain_types(table, subset):
+    """All chain types over C^m, m = ``table.m``, with level component
+    counts ``subset``, as roots of ``table``: one child-id tuple each.
 
     ``subset`` is any subset of {2, ..., m}; its elements, in increasing
     order, are the part counts from the coarsest level down.  The empty
-    subset yields the single empty chain.  The types come as a sorted tuple
-    of root trees, canonical as ``_trees`` builds them.  ``subtrees`` is a
-    dict of the trees of each dim and level counts, to share between calls
-    over the same C^m (one cube); a fresh one is used when none is passed.
+    subset yields the single empty chain, the root ().  The roots come in
+    the order ``NodeTable.child_tuples`` builds them, and
+    ``table.root_tree`` spells one as a chain tree.
     """
     subset = sorted(set(subset))
-    if any(not 2 <= u <= m for u in subset):
-        raise ContractViolation("subset must lie in {2, ..., %d}" % m)
-    if subtrees is None:
-        subtrees = {}
-    return tuple(sorted(_trees(m, tuple(subset), subtrees)))
-
-
-def _trees(dim, counts, memo):
-    """Chain trees of dim ``dim`` with ``counts[j]`` nodes on level j + 1
-    below the root, each built once and listed in ``memo[(dim, counts)]``.
-
-    The root splits into ``counts[0]`` parts, and the children of each
-    split come from ``_children``: each level spends exactly its count,
-    leaves sit only on the finest level, and children are sorted, so every
-    tree is canonical and none is built twice.
-    """
-    key = (dim, counts)
-    got = memo.get(key)
-    if got is None:
-        if not counts:
-            got = ((dim, ()),)
-        else:
-            got = []
-            rest = counts[1:]
-            for part in partitions_into(dim, counts[0]):
-                got.extend([(dim, children) for children in _children(part, rest, memo)])
-        memo[key] = got
-    return got
-
-
-def _children(part, counts, memo):
-    """Descending tuples of chain trees with dims ``part`` (a descending
-    partition) whose level counts add up to ``counts``.
-
-    The first child takes each level-count profile ``own`` that
-    ``_profiles`` leaves room for, and the later children are the tuples
-    for ``part[1:]`` and the counts left over.  Children of unequal dims
-    are ordered by dim; when the second dim equals the first, only tails
-    whose first tree is at most the first child's are kept.
-    """
-    dim = part[0]
-    if len(part) == 1:
-        return [(tree,) for tree in _trees(dim, counts, memo)]
-    out = []
-    twin = part[1] == dim
-    for own in _profiles(dim, counts, len(part) - 1, sum(part[1:])):
-        tails = _children(part[1:], tuple([a - b for a, b in zip(counts, own)]), memo)
-        for tree in _trees(dim, own, memo):
-            out.extend([(tree,) + tail for tail in tails if not twin or tail[0] <= tree])
-    return out
+    if any(not 2 <= u <= table.m for u in subset):
+        raise ContractViolation("subset must lie in {2, ..., %d}" % table.m)
+    return table.child_tuples(table.m, tuple(subset))
 
 
 def _profiles(dim, left, others, room):
@@ -275,24 +317,24 @@ def _profiles(dim, left, others, room):
     return found
 
 
-def stabilizer(tree, l=1, k=None, units=None):
-    """Orbit descriptor of the isotropy of a chain tree, generalized by (k, l).
+def stabilizer(chain, l=1, k=None, table=None):
+    """Orbit descriptor of the isotropy of a chain, generalized by (k, l).
 
-    The plain case (l = 1, k = m) yields U(m)/H with H the wreath-extended
-    product of the leaf unitary groups.  In general each leaf block picks up
-    tensor multiplicity l and a full complement U(k - l*m) appears.  The
-    descriptor is canonical as built.  ``units`` is a dict of interned
-    subtree units for this ``l`` (module docstring) to share between calls
-    over one cube, like ``subtrees``; a fresh one is used when none is
-    passed.
+    ``chain`` is a chain tree, or, with ``table`` (a ``NodeTable`` for this
+    ``l``), one of the table's roots.  The plain case (l = 1, k = m) yields
+    U(m)/H with H the wreath-extended product of the leaf unitary groups.
+    In general each leaf block picks up tensor multiplicity l and a full
+    complement U(k - l*m) appears.  The descriptor is canonical as built.
     """
-    m, _ = tree
+    m = chain[0] if table is None else table.m
     if k is None:
         k = m * l
     if l < 1 or k < l * m:
         raise ContractViolation("need l >= 1 and k >= l*m")
-    root = _build_unit(tree, l, {} if units is None else units)
-    return OrbitDescriptor(k, flatten_units((root,)), k - l * m)
+    if table is None:
+        table = NodeTable(m, l)
+        chain = table.kids_of(chain)
+    return OrbitDescriptor(k, flatten_units((table.unit_of(m, chain),)), k - l * m)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +344,9 @@ def stabilizer(tree, l=1, k=None, units=None):
 @dataclass(frozen=True)
 class CubeVertex:
     subset: tuple
-    chains: tuple  # of (chain tree, OrbitDescriptor, Poly)
+    # (chain tree, OrbitDescriptor, Poly) per chain, sorted by tree; None
+    # unless the report was built with chains=True
+    chains: tuple
     poincare: Poly  # the sum of the chain polynomials
 
 
@@ -337,7 +381,10 @@ class CubeReport:
 
     def to_json(self):
         """The report as a JSON document, each distinct descriptor string,
-        polynomial map and subtree string rendered once (module docstring)."""
+        polynomial map and subtree string rendered once (module docstring).
+        It needs the chains, so the report must be built with chains=True."""
+        if any(v.chains is None for v in self.vertices):
+            raise ContractViolation("the report keeps no chains: build it with chains=True")
         names, maps, trees = {}, {}, {}
 
         def name(d):
@@ -409,38 +456,53 @@ def _subsets(elements):
     return [s for r in range(len(elements) + 1) for s in itertools.combinations(elements, r)]
 
 
-def _edge(subset, base_chains, extended_chains, appended):
+def _edge(table, subset, base, extended, isotropies, in_order=False):
     """The direction-m edge at U = ``subset``: appending the line
     decomposition must be a bijection from the chain types of X(U) onto
-    those of X(U + {m}) that keeps the Poincare polynomial.  ``appended``
-    is the cube's dict of refined subtrees (``_append_lines``)."""
-    extended = {c: p for c, _, p in extended_chains}
+    those of X(U + {m}) that keeps the Poincare polynomial.  ``base`` and
+    ``extended`` list the (root, isotropy key) pairs of the two vertices,
+    and ``isotropies`` maps a key to its (descriptor, polynomial).  A
+    failed edge is checked again with both lists in the order of their
+    chain trees, so that its findings read in that order."""
+    partner = dict(extended)
     hit = {}
+    agree = {}  # (base key, extended key) -> whether their polynomials agree
     equal = True
     partnerless = False
     mismatches = []
-    for c, _, p in base_chains:
-        ext = _append_lines(c, appended)
+
+    def spell(root):
+        return _tree_string(table.root_tree(root))
+
+    for c, key in base:
+        ext = table.refine(table.m, c)
         first = hit.setdefault(ext, c)
-        if first is not c:
-            mismatches.append("%s and %s both append to %s" % (
-                _tree_string(first), _tree_string(c), _tree_string(ext)))
+        if first != c:
+            mismatches.append("%s and %s both append to %s" % (spell(first), spell(c), spell(ext)))
             hit[ext] = c
-        q = extended.get(ext)
+        q = partner.get(ext)
         if q is None:
             partnerless = True
-            mismatches.append("no partner for %s" % _tree_string(ext))
-        elif not p.agrees(q):
+            mismatches.append("no partner for %s" % spell(ext))
+            continue
+        same = agree.get((key, q))
+        if same is None:
+            same = agree[key, q] = isotropies[key][1].agrees(isotropies[q][1])
+        if not same:
             equal = False
             mismatches.append("P(%s) = %s but P(%s) = %s" % (
-                _tree_string(c), p.pretty(), _tree_string(ext), q.pretty()))
-    # every hit tree was looked up in ``extended``: with none partnerless,
-    # the hit trees are all extended types, and all of them when the sizes
-    # agree (injective: as many hit trees as base chains)
-    matched = not partnerless and len(hit) == len(base_chains) == len(extended)
+                spell(c), isotropies[key][1].pretty(), spell(ext), isotropies[q][1].pretty()))
+    # every hit root was looked up in ``partner``: with none partnerless,
+    # the hit roots are all extended types, and all of them when the sizes
+    # agree (injective: as many hit roots as base chains)
+    matched = not partnerless and len(hit) == len(base) == len(partner)
     if not matched:
         mismatches.extend(
-            "unmatched extended type %s" % _tree_string(t) for t in extended if t not in hit)
+            "unmatched extended type %s" % spell(t) for t in partner if t not in hit)
+    if mismatches and not in_order:
+        base, extended = (sorted(pairs, key=lambda pair: table.root_tree(pair[0]))
+                          for pairs in (base, extended))
+        return _edge(table, subset, base, extended, isotropies, True)
     return EdgeVerdict(subset, matched, equal, tuple(mismatches))
 
 
@@ -456,14 +518,16 @@ def _weighted_sum(terms):
     return Poly(coeffs, truncation)
 
 
-def cube_report(m, l=1, k=None, cutoff=None):
+def cube_report(m, l=1, k=None, cutoff=None, chains=False):
     """Build and verify the cube of chain spaces for C^m, generalized by (k, l).
 
-    For every subset U of {2, ..., m} the vertex data is computed; for every
+    For every subset U of {2, ..., m} the vertex sum is computed; for every
     U not containing m the direction-m edge is checked: chain types must
     biject under the full-line refinement and matched Poincare polynomials
     must agree (exactly in Molien mode, through the cutoff otherwise).
-    Verification failures land in the report, they do not raise.
+    Verification failures land in the report, they do not raise.  With
+    ``chains`` each vertex also keeps its chains, sorted by chain tree, as
+    ``to_json`` needs; without, no chain outlives its edge.
     """
     if m < 1:
         raise ContractViolation("need m >= 1")
@@ -472,29 +536,37 @@ def cube_report(m, l=1, k=None, cutoff=None):
     if l < 1 or k < l * m:
         raise ContractViolation("need l >= 1 and k >= l*m")
 
-    vertices = {}
-    subtrees, units, appended, isotropies = {}, {}, {}, {}
-    for subset in _subsets(range(2, m + 1)):
-        chains = []
-        counts = {}  # chains per isotropy, by its key
-        for c in enumerate_chain_types(m, subset, subtrees):
-            # the root's interned unit, kept in ``units``, names its isotropy
-            key = id(_build_unit(c, l, units))
-            got = isotropies.get(key)
-            if got is None:
-                desc = stabilizer(c, l, k, units)
-                got = isotropies[key] = (desc, cartan.poincare(desc, cutoff=cutoff))
-            chains.append((c,) + got)
-            counts[key] = counts.get(key, 0) + 1
-        total = _weighted_sum([(isotropies[key][1], n) for key, n in counts.items()])
-        vertices[subset] = CubeVertex(subset, tuple(chains), total)
+    table = NodeTable(m, l)
+    isotropies = {}  # id of a root's interned unit -> (descriptor, Poincare polynomial)
+    sums, kept = {}, {}
 
-    edges = tuple(
-        _edge(subset, vertices[subset].chains, vertices[subset + (m,)].chains, appended)
-        for subset in (_subsets(range(2, m)) if m > 1 else [])
-    )
+    def vertex(subset):
+        """The (root, isotropy key) pairs of X(``subset``), its sum stored."""
+        roots = enumerate_chain_types(table, subset)
+        # the root's interned unit, kept in the table, names its isotropy
+        unit_of = table.unit_of
+        keys = [id(unit_of(m, root)) for root in roots]
+        counts = Counter(keys)  # chains per isotropy
+        for key, root in dict(zip(keys, roots)).items():
+            if key not in isotropies:
+                desc = stabilizer(root, l, k, table)
+                isotropies[key] = (desc, cartan.poincare(desc, cutoff=cutoff))
+        sums[subset] = _weighted_sum([(isotropies[key][1], n) for key, n in counts.items()])
+        if chains:
+            kept[subset] = tuple(sorted(
+                [(table.root_tree(root),) + isotropies[key] for root, key in zip(roots, keys)],
+                key=lambda chain: chain[0]))
+        return list(zip(roots, keys))
 
-    signed = _weighted_sum([(v.poincare, (-1) ** len(s)) for s, v in vertices.items()])
+    edges = []
+    if m == 1:
+        vertex(())
+    else:
+        for subset in _subsets(range(2, m)):
+            edges.append(_edge(table, subset, vertex(subset), vertex(subset + (m,)), isotropies))
+
+    vertices = tuple(CubeVertex(s, kept.get(s), sums[s]) for s in _subsets(range(2, m + 1)))
+    signed = _weighted_sum([(v.poincare, (-1) ** len(v.subset)) for v in vertices])
     zero = (not signed.coeffs) if m > 1 else False
 
     return CubeReport(
@@ -502,9 +574,8 @@ def cube_report(m, l=1, k=None, cutoff=None):
         l=l,
         k=k,
         cutoff=cutoff,
-        vertices=tuple(vertices.values()),
-        edges=edges,
+        vertices=vertices,
+        edges=tuple(edges),
         signed_sum=signed,
         signed_sum_zero=zero,
     )
-

@@ -71,14 +71,22 @@ that shares no code with the engine it checks:
   the root has the ambient dimension, every node's children are sorted
   descending and sum to its dimension, part counts strictly increase
   downward and every leaf sits on the finest level.  ``decomp`` checks
-  none of this at run time, because ``_trees`` builds every tree that
-  way; the tests run this check on every tree the enumerator yields.
+  none of this at run time, because ``NodeTable.subtrees`` builds every
+  tree that way; the tests run this check on every tree the enumerator
+  yields.
 * ``chain_types_oracle`` lists chain types by the level-wide forest
   search: each root of a level takes a partition, a forest is kept when
   the parts add up to the level's count, and each forest is sorted as it
-  is stored.  ``decomp._trees`` builds one tree at a time from its level
-  counts, bounds each child's counts by what its later siblings can take,
-  and sorts only the root trees it returns.
+  is stored.  ``decomp.NodeTable`` builds one tree at a time from its
+  level counts as int ids, bounds each child's counts by what its later
+  siblings can take, and sorts no list of trees.
+* ``structural_chain_types`` and ``append_lines`` are the chain types and
+  the edge pairing as ``decomp`` computed them on nested trees, before the
+  node table: trees compared and sorted structurally, children refined in
+  place.  They share ``decomp._profiles`` with the engine, so the tests
+  check them against ``chain_types_oracle`` as well.  The engine's roots,
+  appended roots and descriptors, spelled as trees, must equal theirs on
+  every cube the tests build.
 * ``canonical_chain_type``, ``level_counts`` and ``leaves`` build a
   checked chain tree from an unsorted one and read its component counts
   per level and its leaf dimensions, for the tests of the chain trees and
@@ -105,6 +113,7 @@ from operator import add
 
 from rankfilt.cartan import InvariantViolation
 from rankfilt.combinat import ContractViolation, partitions_into
+from rankfilt.decomp import _profiles
 from rankfilt.linalg import sparse_rank
 from rankfilt.orbitspace import (
     Block,
@@ -524,6 +533,61 @@ def canonical_chain_type(m, root):
         return (dim, tuple(sorted((canon(c) for c in children), reverse=True)))
 
     return check_chain_tree(m, canon(root))
+
+
+def structural_chain_types(m, subset, subtrees):
+    """The chain types over C^m with level counts ``subset`` as a sorted
+    tuple of nested trees: ``decomp.enumerate_chain_types`` as it was
+    before the node table, with its search.  Every tree is built as a
+    nested tuple with its children sorted structurally, so a twin is
+    compared by recursive tuple comparison, not by id.  ``subtrees`` is a
+    dict of the trees of each (dim, level counts), shared like the
+    engine's ``forests``."""
+    return tuple(sorted(_structural_trees(m, tuple(sorted(set(subset))), subtrees)))
+
+
+def _structural_trees(dim, counts, memo):
+    key = (dim, counts)
+    got = memo.get(key)
+    if got is None:
+        if not counts:
+            got = [(dim, ())]
+        else:
+            got = [(dim, children) for part in partitions_into(dim, counts[0])
+                   for children in _structural_children(part, counts[1:], memo)]
+        memo[key] = got
+    return got
+
+
+def _structural_children(part, counts, memo):
+    dim = part[0]
+    if len(part) == 1:
+        return [(tree,) for tree in _structural_trees(dim, counts, memo)]
+    out = []
+    twin = part[1] == dim
+    for own in _profiles(dim, counts, len(part) - 1, sum(part[1:])):
+        tails = _structural_children(
+            part[1:], tuple([a - b for a, b in zip(counts, own)]), memo)
+        for tree in _structural_trees(dim, own, memo):
+            out.extend([(tree,) + tail for tail in tails if not twin or tail[0] <= tree])
+    return out
+
+
+def append_lines(node, appended):
+    """The chain tree ``node`` with its finest level refined by the full
+    line decomposition, on nested trees: the refinement is strictly
+    increasing on the subtrees of one depth and keeps dimensions, so sorted
+    siblings stay sorted.  ``appended`` stores each refined child."""
+    dim, children = node
+    if not children:
+        return (dim, ((1, ()),) * dim)
+    refined = []
+    for child in children:
+        got = appended.get(child)
+        if got is None:
+            got = appended[child] = append_lines(child, appended)
+        refined.append(got)
+    return (dim, tuple(refined))
 
 
 def stabilizer_oracle(tree, l=1, k=None):

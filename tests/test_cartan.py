@@ -8,6 +8,7 @@ from oracles import (
     flag_poincare_oracle,
     full_exterior_basis,
     full_ring_minimal_generators,
+    structural_chain_types,
     verify_d_squared,
 )
 from rankfilt.cache import memo
@@ -21,7 +22,7 @@ from rankfilt.cartan import (
     poincare,
 )
 from rankfilt.combinat import ContractViolation
-from rankfilt.decomp import enumerate_chain_types, stabilizer
+from rankfilt.decomp import stabilizer
 from rankfilt.orbitspace import (
     Block,
     Bunch,
@@ -114,6 +115,17 @@ def test_witness_builds_only_the_images_it_reads():
     assert len(kc.chern) == 4
     kc.cohomology_dims(20)
     assert len(kc.chern) == 8
+
+
+def test_witness_builds_and_checks_its_images_once(monkeypatch):
+    # cohomology_dims builds rho_1..rho_4 before its rank loop, not one
+    # more image per degree that reads one
+    checks = []
+    check = KoszulComplex._check_equivariance
+    monkeypatch.setattr(KoszulComplex, "_check_equivariance",
+                        lambda kc: checks.append(len(kc.chern)) or check(kc))
+    KoszulComplex(parse_descriptor("U(8)/S8wr(1)")).cohomology_dims(8)
+    assert checks == [4]
 
 
 def test_invariant_dims_examples():
@@ -434,7 +446,7 @@ def _with_finite_part():
         "U(6)/S2wrS2wr(1)x(2)",
     ]]
     for subset in [(), (2,), (3,), (2, 3)]:
-        found += [stabilizer(chain, 2, 8) for chain in enumerate_chain_types(3, subset)]
+        found += [stabilizer(chain, 2, 8) for chain in structural_chain_types(3, subset, {})]
     # descriptor -> its string, for messages
     return {d: d.canonical_string() for d in map(OrbitDescriptor.canonicalize, found)
             if "wr" in d.canonical_string()}

@@ -406,6 +406,20 @@ def test_cache_is_written_compact_and_indented_files_still_load(capsys, tmp_path
     assert code == 0 and "1 entries recomputed" in out
 
 
+def test_cache_is_written_by_the_c_encoder(capsys, tmp_path, monkeypatch):
+    # json.dump always streams through the pure-Python encoder, which
+    # _make_iterencode builds; the save must not reach it
+    args = ("poincare", "U(3)/(2)x(1)", "--cache")
+    assert run(capsys, *args, str(tmp_path / "plain.json"))[0] == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder was used")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    assert run(capsys, *args, str(tmp_path / "c.json"))[0] == 0
+    assert (tmp_path / "c.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
 def test_cache_audit_reports_an_unparsable_value(capsys, tmp_path):
     cache = tmp_path / "cache.json"
     args = ("poincare", "U(3)/(2)x(1)", "--cache", str(cache))
@@ -591,6 +605,12 @@ def _written(value):
         {'k"\\\x02é\U0001d11e': ['v"\\\x1f', "ü"]},
         # scalars
         None, True, False, 0, -3, "",
+        # rows of plain ints, written from one template per length, beside
+        # a bool in a row, an empty row, a row beside an int, rows one
+        # level deeper, and negative and 40-digit entries
+        [(0, 1, 2), (3, 4, 5)], [[1, True], [2, 3]], [[1, 2, 3], (4,), [5, 6]],
+        [[1, 2], []], [(), (1,)], [[1, 2], 3], [3, (1, 2)], [[[1, 2], [3]], [[4]]],
+        {"t": [[[1], (2, 3)]], "u": [(7,)]}, [[-1, 10 ** 40], (-(10 ** 39) - 7, 0)],
     ],
 )
 def test_write_json_matches_json_dumps(value):

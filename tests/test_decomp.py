@@ -7,22 +7,24 @@ from itertools import combinations
 import pytest
 
 from oracles import (
+    append_lines,
     canonical_chain_type,
     chain_types_oracle,
     check_chain_tree,
     leaves,
     level_counts,
     stabilizer_oracle,
+    structural_chain_types,
     vertex,
 )
 from rankfilt import cartan, decomp
 from rankfilt.cache import memo
 from rankfilt.combinat import ContractViolation, partitions_into
 from rankfilt.decomp import (
+    NodeTable,
     connectivity,
     cube_report,
     enumerate_chain_types,
-    _append_lines,
     _tree_string,
     stabilizer,
 )
@@ -120,19 +122,47 @@ def test_connectivity():
 # -- chain types -------------------------------------------------------------------
 
 
+def chain_trees(m, subset, table=None):
+    """The engine's chain types over C^m with level counts ``subset``,
+    spelled as chain trees and sorted."""
+    table = table or NodeTable(m)
+    return sorted(map(table.root_tree, enumerate_chain_types(table, subset)))
+
+
+def appended_tree(m, tree):
+    """The engine's appended root of the chain tree ``tree``, spelled as a
+    chain tree."""
+    table = NodeTable(m)
+    return table.root_tree(table.refine(m, table.kids_of(tree)))
+
+
 def test_enumerate_chain_types_examples():
     # one type: {2,1} refined by lines
-    assert sorted(enumerate_chain_types(3, {2, 3})) == [
+    assert chain_trees(3, {2, 3}) == [
         (3, ((2, ((1, ()), (1, ()))), (1, ((1, ()),))))
     ]
-    assert sorted(enumerate_chain_types(3, {3})) == [(3, ((1, ()), (1, ()), (1, ())))]
-    assert sorted(enumerate_chain_types(4, {2})) == [
+    assert chain_trees(3, {3}) == [(3, ((1, ()), (1, ()), (1, ())))]
+    assert chain_trees(4, {2}) == [
         (4, ((2, ()), (2, ()))),
         (4, ((3, ()), (1, ()))),
     ]
-    assert sorted(enumerate_chain_types(3, ())) == [(3, ())]
+    assert enumerate_chain_types(NodeTable(3), ()) == [()]
+    assert chain_trees(3, ()) == [(3, ())]
     # two level structures on the same level multiset are distinguished
-    assert len(enumerate_chain_types(5, {2, 3})) == 4
+    assert len(enumerate_chain_types(NodeTable(5), {2, 3})) == 4
+    with pytest.raises(ContractViolation):
+        enumerate_chain_types(NodeTable(3), {4})
+
+
+def test_siblings_are_ordered_by_dim_then_id():
+    table = NodeTable(4)
+    one, two, three = (table.node(d, ()) for d in (1, 2, 3))
+    pair = table.node(2, (one, one))
+    assert pair > two
+    assert table.ordered([one, two, three, pair]) == (three, pair, two, one)
+    # a structurally equal subtree is the same id
+    assert table.node(2, (one, one)) == pair and table.kids_of((2, ((1, ()), (1, ())))) == (
+        one, one)
 
 
 def test_chain_canonical_idempotence():
@@ -143,10 +173,10 @@ def test_chain_canonical_idempotence():
 
 
 def test_chain_level_counts_and_leaves():
-    c = list(enumerate_chain_types(3, {2, 3}))[0]
+    c = chain_trees(3, {2, 3})[0]
     assert level_counts(c) == [2, 3]
     assert sorted(leaves(c)) == [1, 1, 1]
-    empty = list(enumerate_chain_types(3, ()))[0]
+    empty = chain_trees(3, ())[0]
     assert level_counts(empty) == []
     assert leaves(empty) == [3]
 
@@ -163,7 +193,7 @@ def test_chain_level_counts_and_leaves():
     for m in range(1, 7):
         for size in range(m):
             for subset in combinations(range(2, m + 1), size):
-                for c in enumerate_chain_types(m, subset):
+                for c in chain_trees(m, subset):
                     counts, found = [], []
                     walk(c, 0, counts, found)
                     assert level_counts(c) == counts == list(subset)
@@ -171,13 +201,12 @@ def test_chain_level_counts_and_leaves():
 
 
 def test_shared_sub_forests_match_fresh_enumeration():
-    # one dict shared by every subset of a cube, as cube_report passes it
+    # one table shared by every subset of a cube, as cube_report keeps it
     for m in range(1, 8):
-        subtrees = {}
+        table = NodeTable(m)
         for size in range(m):
             for subset in combinations(range(2, m + 1), size):
-                shared = enumerate_chain_types(m, subset, subtrees)
-                assert shared == enumerate_chain_types(m, subset), (m, subset)
+                assert chain_trees(m, subset, table) == chain_trees(m, subset), (m, subset)
 
 
 def test_chain_types_match_the_forest_search():
@@ -188,10 +217,34 @@ def test_chain_types_match_the_forest_search():
         totals[m] = 0
         for size in range(m):
             for subset in combinations(range(2, m + 1), size):
-                chains = enumerate_chain_types(m, subset, subtrees)
+                chains = structural_chain_types(m, subset, subtrees)
                 assert chains == chain_types_oracle(m, subset, forests), (m, subset)
                 totals[m] += len(chains)
     assert totals[7] == 936 and totals[8] == 5820
+
+
+def _id_cube_cases():
+    return [(m, 1, m) for m in range(1, 9)] + [(3, 2, 8), (4, 2, 10), (3, 3, 12)]
+
+
+@pytest.mark.parametrize("m, l, k", _id_cube_cases())
+def test_node_table_matches_the_structural_oracle(m, l, k):
+    # every vertex of the cube, on one shared table as cube_report keeps
+    # it: the roots spell the structural chain types, one root per type;
+    # each appended root spells the appended tree; and each root's
+    # descriptor is the one built from its tree
+    table = NodeTable(m, l)
+    subtrees, appended = {}, {}
+    for subset in decomp._subsets(range(2, m + 1)):
+        roots = enumerate_chain_types(table, subset)
+        trees = [table.root_tree(root) for root in roots]
+        assert len(set(roots)) == len(roots)
+        assert sorted(trees) == list(structural_chain_types(m, subset, subtrees)), subset
+        for root, tree in zip(roots, trees):
+            if m > 1 and m not in subset:
+                assert table.root_tree(table.refine(m, root)) == append_lines(tree, appended)
+            d = stabilizer(root, l, k, table)
+            assert d == stabilizer_oracle(tree, l, k), _tree_string(tree)
 
 
 def test_append_and_strip_are_inverse():
@@ -199,15 +252,16 @@ def test_append_and_strip_are_inverse():
     # i.e. to vertices whose subset does not contain m; it is injective on
     # every such vertex, so stripping the lines again recovers the chain
     for m in (2, 3, 4, 5, 6):
+        table = NodeTable(m)
         for size in range(m - 1):
             for subset in combinations(range(2, m), size):
-                chains = enumerate_chain_types(m, subset)
+                chains = enumerate_chain_types(table, subset)
                 appended = set()
-                refined = {}
                 for c in chains:
-                    ext = _append_lines(c, refined)
-                    assert level_counts(ext) == level_counts(c) + [m]
-                    assert all(d == 1 for d in leaves(ext))
+                    ext = table.refine(m, c)
+                    assert level_counts(table.root_tree(ext)) == level_counts(
+                        table.root_tree(c)) + [m]
+                    assert all(d == 1 for d in leaves(table.root_tree(ext)))
                     appended.add(ext)
                 assert len(appended) == len(chains), (m, subset)
 
@@ -217,13 +271,14 @@ def test_enumerated_and_appended_trees_are_valid_chain_trees():
     # and level-complete, and appending the lines keeps it so on every base
     # vertex of a cube edge (m >= 2, m not in U)
     for m in range(1, 9):
-        refined = {}
+        table = NodeTable(m)
         for size in range(m):
             for subset in combinations(range(2, m + 1), size):
-                for c in enumerate_chain_types(m, subset):
-                    assert check_chain_tree(m, c) is c
+                for c in enumerate_chain_types(table, subset):
+                    tree = table.root_tree(c)
+                    assert check_chain_tree(m, tree) is tree
                     if 1 < m and m not in subset:
-                        check_chain_tree(m, _append_lines(c, refined))
+                        check_chain_tree(m, table.root_tree(table.refine(m, c)))
 
 
 def test_chain_type_validation():
@@ -242,13 +297,13 @@ def test_chain_type_validation():
 
 
 def test_stabilizer_examples():
-    pair = list(enumerate_chain_types(2, {2}))[0]
+    pair = chain_trees(2, {2})[0]
     assert stabilizer(pair).canonical_string() == "U(2)/S2wr(1)"
 
-    coarse = list(enumerate_chain_types(3, {2}))[0]
+    coarse = chain_trees(3, {2})[0]
     assert stabilizer(coarse).canonical_string() == "U(3)/(1)x(2)"
 
-    refined = list(enumerate_chain_types(3, {2, 3}))[0]
+    refined = chain_trees(3, {2, 3})[0]
     assert stabilizer(refined).canonical_string() == "U(3)/(1)xS2wr(1)"
 
     # generalized: tensor multiplicity and complement
@@ -263,7 +318,7 @@ def test_stabilizer_is_unchanged_on_every_chain_type_up_to_m7():
     for m in range(1, 8):
         for size in range(m):
             for subset in combinations(range(2, m + 1), size):
-                for c in enumerate_chain_types(m, subset):
+                for c in chain_trees(m, subset):
                     h.update(("%s %r\n" % (_tree_string(c), stabilizer(c))).encode())
                     n += 1
     assert n == 1175
@@ -274,7 +329,7 @@ def test_shared_units_give_the_canonicalized_raw_tree():
     # cube_report shares one dict of subtree units across a whole cube
     for m, l, k in [(m, 1, m) for m in range(1, 8)] + [(3, 2, 8), (4, 2, 10)]:
         memo.clear()
-        for v in cube_report(m, l, k).vertices:
+        for v in cube_report(m, l, k, chains=True).vertices:
             for c, d, _ in v.chains:
                 assert d == stabilizer_oracle(c, l, k) == d.canonicalize(), _tree_string(c)
     memo.clear()
@@ -285,11 +340,12 @@ def test_interned_isotropies_match_fresh_stabilizers_and_polynomials():
     # hands them to every chain of it: each must be what a fresh build gives
     for m, l, k in [(m, 1, m) for m in range(1, 9)] + [(3, 2, 8), (4, 2, 10), (3, 3, 12)]:
         memo.clear()
-        chains = [chain for v in cube_report(m, l, k).vertices for chain in v.chains]
+        chains = [chain for v in cube_report(m, l, k, chains=True).vertices
+                  for chain in v.chains]
         memo.clear()
         fresh = {}
         for c, d, p in chains:
-            assert d == stabilizer(c, l, k, {}), _tree_string(c)
+            assert d == stabilizer(c, l, k), _tree_string(c)
             if id(d) not in fresh:
                 fresh[id(d)] = cartan.poincare(d)
             assert p == fresh[id(d)], _tree_string(c)
@@ -306,7 +362,7 @@ def test_each_isotropy_is_built_once_per_cube(monkeypatch):
 
     monkeypatch.setattr(decomp, "stabilizer", counting)
     memo.clear()
-    chains = [chain for v in cube_report(8).vertices for chain in v.chains]
+    chains = [chain for v in cube_report(8, chains=True).vertices for chain in v.chains]
     assert len(chains) == 5820
     descriptors = {d for _, d, _ in chains}
     assert len(descriptors) == len({id(d) for _, d, _ in chains}) == 125
@@ -328,8 +384,8 @@ def test_vertex_sum_truncates_like_poly_addition():
 def test_stabilizer_connected_part_of_extended_chain_is_torus():
     for m in (2, 3, 4):
         for subset in [(), (2,)]:
-            for c in enumerate_chain_types(m, set(s for s in subset if 2 <= s < m)):
-                d = stabilizer(_append_lines(c, {}))
+            for c in chain_trees(m, set(s for s in subset if 2 <= s < m)):
+                d = stabilizer(appended_tree(m, c))
                 assert all(b.size == 1 and b.mult == 1 for b in d.blocks())
                 assert len(d.blocks()) == m
 
@@ -355,7 +411,7 @@ def test_cube_m2():
 
 
 def test_cube_m3_square():
-    r = cube_report(3)
+    r = cube_report(3, chains=True)
     assert r.verified
     assert vertex(r, ()).poincare == Poly({0: 1})
     assert vertex(r, (2,)).poincare == Poly({0: 1, 2: 1, 4: 1})
@@ -384,15 +440,18 @@ def test_cube_generalized():
 
 
 def test_cube_json_roundtrip_and_determinism():
-    r = cube_report(3)
+    r = cube_report(3, chains=True)
     doc = r.to_json()
     blob1 = json.dumps(doc, sort_keys=True)
-    blob2 = json.dumps(cube_report(3).to_json(), sort_keys=True)
+    blob2 = json.dumps(cube_report(3, chains=True).to_json(), sort_keys=True)
     assert blob1 == blob2
     assert doc["verified"] is True
     assert [v["subset"] for v in doc["vertices"]] == [[], [2], [3], [2, 3]]
     assert doc["vertices"][1]["poincare"] == {"0": 1, "2": 1, "4": 1}
     assert doc["prime_power"] is True
+    # the text path keeps no chains, and so has no JSON
+    with pytest.raises(ContractViolation):
+        cube_report(3).to_json()
 
 
 def _module_state():
@@ -408,10 +467,10 @@ def _module_state():
 
 def test_cube_report_keeps_no_state_between_runs():
     memo.clear()
-    first = cube_report(6)
+    first = cube_report(6, chains=True)
     state = _module_state()
     memo.clear()
-    second = cube_report(6)
+    second = cube_report(6, chains=True)
     assert second.to_json() == first.to_json()
     assert _module_state() == state
     # the subtrees are rebuilt, not kept from the first run
@@ -422,9 +481,9 @@ def test_cube_report_keeps_no_state_between_runs():
 def test_missing_extended_chain_is_reported_not_raised(monkeypatch):
     enumerate_all = decomp.enumerate_chain_types
 
-    def drop_one(m, subset, *args):
-        chains = enumerate_all(m, subset, *args)
-        return chains[1:] if m in subset else chains
+    def drop_one(table, subset):
+        chains = enumerate_all(table, subset)
+        return chains[1:] if table.m in subset else chains
 
     monkeypatch.setattr(decomp, "enumerate_chain_types", drop_one)
     r = cube_report(3)
@@ -439,9 +498,11 @@ def test_unhit_extended_chain_is_reported_not_raised(monkeypatch):
     # by none: the edge is not onto
     enumerate_all = decomp.enumerate_chain_types
 
-    def drop_one(m, subset, *args):
-        chains = enumerate_all(m, subset, *args)
-        return chains[1:] if subset == (2,) else chains
+    def drop_one(table, subset):
+        chains = enumerate_all(table, subset)
+        if subset != (2,):
+            return chains
+        return [c for c in chains if _tree_string(table.root_tree(c)) != "4[2,2]"]
 
     monkeypatch.setattr(decomp, "enumerate_chain_types", drop_one)
     r = cube_report(4)
@@ -453,15 +514,17 @@ def test_unhit_extended_chain_is_reported_not_raised(monkeypatch):
 
 
 def test_two_chains_appending_to_one_tree_are_reported_not_raised(monkeypatch):
-    append = decomp._append_lines
-    base = enumerate_chain_types(4, (2,))
+    refine = NodeTable.refine
+    base = chain_trees(4, (2,))
     assert _tree_string(base[0]) == "4[2,2]" and _tree_string(base[1]) == "4[3,1]"
-    collide = append(base[0], {})
-    monkeypatch.setattr(
-        decomp,
-        "_append_lines",
-        lambda node, appended: collide if node in base else append(node, appended),
-    )
+
+    def collide(table, dim, kids):
+        # both roots of X({2}) append to the appended root of 4[2,2]
+        if dim == 4 and table.root_tree(kids) in base:
+            kids = table.kids_of(base[0])
+        return refine(table, dim, kids)
+
+    monkeypatch.setattr(NodeTable, "refine", collide)
     r = cube_report(4)
     assert not r.verified
     edge = next(e for e in r.edges if e.subset == (2,))
@@ -473,7 +536,7 @@ def test_two_chains_appending_to_one_tree_are_reported_not_raised(monkeypatch):
 
 def test_unequal_matched_polynomials_are_reported_not_raised(monkeypatch):
     real = cartan.poincare
-    point = stabilizer(enumerate_chain_types(3, ())[0])
+    point = stabilizer((3, ()))
     bump = Poly({0: 1, 2: 1})
 
     def perturbed(d, cutoff=None):

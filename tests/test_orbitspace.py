@@ -122,7 +122,7 @@ def _cube_stabilizers(m_max):
     found = set()
     for m in range(1, m_max + 1):
         memo.clear()
-        found.update(d for v in cube_report(m).vertices for _, d, _ in v.chains)
+        found.update(d for v in cube_report(m, chains=True).vertices for _, d, _ in v.chains)
     memo.clear()
     return found
 
@@ -243,7 +243,8 @@ def test_size_sums_match_the_leaf_lists(monkeypatch):
     found = set(_cube_stabilizers(6))
     for m, l, k in [(3, 2, 8), (4, 2, 10), (3, 3, 12)]:
         memo.clear()
-        found.update(d for v in cube_report(m, l, k).vertices for _, d, _ in v.chains)
+        found.update(d for v in cube_report(m, l, k, chains=True).vertices
+                     for _, d, _ in v.chains)
     memo.clear()
     # every spelling of the cache-stream benchmark pool
     monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
