@@ -80,11 +80,11 @@ that shares no code with the engine it checks:
   is stored.  ``decomp.NodeTable`` builds one tree at a time from its
   level counts as int ids, bounds each child's counts by what its later
   siblings can take, and sorts no list of trees.
-* ``structural_chain_types`` and ``append_lines`` are the chain types and
-  the edge pairing as ``decomp`` computed them on nested trees, before the
-  node table: trees compared and sorted structurally, children refined in
-  place.  They share ``decomp._profiles`` with the engine, so the tests
-  check them against ``chain_types_oracle`` as well.  The engine's roots,
+* ``structural_chain_types`` and ``append_lines`` compute the chain types
+  and the edge pairing on nested trees: trees are compared and sorted
+  structurally, and children are refined in place.  They share
+  ``decomp._profiles`` with the engine's search, so the tests check them
+  against ``chain_types_oracle`` as well.  The engine's roots,
   appended roots and descriptors, spelled as trees, must equal theirs on
   every cube the tests build.
 * ``canonical_chain_type``, ``level_counts`` and ``leaves`` build a
@@ -537,12 +537,11 @@ def canonical_chain_type(m, root):
 
 def structural_chain_types(m, subset, subtrees):
     """The chain types over C^m with level counts ``subset`` as a sorted
-    tuple of nested trees: ``decomp.enumerate_chain_types`` as it was
-    before the node table, with its search.  Every tree is built as a
-    nested tuple with its children sorted structurally, so a twin is
-    compared by recursive tuple comparison, not by id.  ``subtrees`` is a
-    dict of the trees of each (dim, level counts), shared like the
-    engine's ``forests``."""
+    tuple of nested trees, by the search of ``decomp.NodeTable`` on nested
+    trees: every tree is a nested tuple with its children sorted
+    structurally, so a twin is compared by recursive tuple comparison, not
+    by id.  ``subtrees`` is a dict of the trees of each (dim, level
+    counts), shared like the engine's ``forests``."""
     return tuple(sorted(_structural_trees(m, tuple(sorted(set(subset))), subtrees)))
 
 
