@@ -13,6 +13,7 @@ class Memo:
     def __init__(self):
         self._data = {}
 
+    # the benchmark's span hook (bench/spans.py) reads memo hits through get
     def get(self, key):
         return self._data.get(key)
 
@@ -22,6 +23,7 @@ class Memo:
             return got
         return self._data.setdefault(key, compute())
 
+    # bench/worker.py clears the memo before each case
     def clear(self):
         self._data.clear()
 

@@ -75,10 +75,10 @@ n - sum_{i>r} (2i - 1), the top degree of R/I.
 Every answer is checked against the Koszul ranks in the degrees through
 min(``WITNESS_DEGREES``, n), a witness that shares nothing with the closed
 form; a disagreement raises :class:`EngineMismatch`.  Its rows in degree D
-read rho_i only for 2i - 1 <= D, so it builds rho_1..rho_4 for degree 8,
-degree by degree.  The closed form holds through n, above which the
-cohomology vanishes, so every answer is exact; it is computed once per
-descriptor, and a cutoff only truncates it.
+read rho_i only for 2i - 1 <= D, so ``cohomology_dims`` builds
+rho_1..rho_4 for degree 8, once, before its rank loop.  The closed form
+holds through n, above which the cohomology vanishes, so every answer is
+exact; it is computed once per descriptor, and a cutoff only truncates it.
 
 Everything else is graded and computed degree by degree on explicit
 monomial bases with exact sparse elimination; there is no floating point
@@ -258,7 +258,7 @@ class KoszulComplex:
         self.var_degrees.extend(2 * j for j in range(1, d.complement + 1))
         self.nvars = len(self.var_degrees)
 
-        # rho_1, rho_2, ...: built by _build_chern as far as a row needs them
+        # rho_1, rho_2, ...: built by _build_chern before any row reads them
         self.chern = []
         # canonical: m -> least monomial in its orbit, or None; generators: (a, w) swaps
         _, canon, self.generators = _finite_part(Bunch(tuple(d.units)))
@@ -368,11 +368,10 @@ class KoszulComplex:
 
         On orbit sums a row is d of the representative, with every term
         moved to its representative: a rescaling of the exact matrix that
-        keeps its rank (see the module docstring).
+        keeps its rank (see the module docstring).  The images the rows read
+        must be built already (``_build_chern``).
         """
         canon = self.canonical if invariants else None
-        # the y_i of this degree, as in _exterior
-        self._build_chern(min(self.k, (degree + 1) // 2))
         src = self.basis(degree, invariants)
         tgt = self.basis(degree + 1, invariants)
         tgt_index = {b: i for i, b in enumerate(tgt)}

@@ -274,11 +274,6 @@ class NodeTable:
         """The chain tree of dim m with children ``root``."""
         return (self.m, tuple(sorted(map(self.tree, root), reverse=True)))
 
-    def kids_of(self, tree):
-        """The children of the chain tree ``tree`` in table order, each
-        subtree interned: the inverse of ``root_tree``."""
-        return self.ordered([self.node(c[0], self.kids_of(c)) for c in tree[1]])
-
 
 def enumerate_chain_types(table, subset):
     """All chain types over C^m, m = ``table.m``, with level component
@@ -317,24 +312,21 @@ def _profiles(dim, left, others, room):
     return found
 
 
-def stabilizer(chain, l=1, k=None, table=None):
-    """Orbit descriptor of the isotropy of a chain, generalized by (k, l).
+def stabilizer(root, table, k=None):
+    """Orbit descriptor of the isotropy of the chain type ``root``, a root
+    of ``table``, generalized by (k, l) with m and l those of the table.
 
-    ``chain`` is a chain tree, or, with ``table`` (a ``NodeTable`` for this
-    ``l``), one of the table's roots.  The plain case (l = 1, k = m) yields
-    U(m)/H with H the wreath-extended product of the leaf unitary groups.
-    In general each leaf block picks up tensor multiplicity l and a full
-    complement U(k - l*m) appears.  The descriptor is canonical as built.
+    The plain case (l = 1, k = m) yields U(m)/H with H the wreath-extended
+    product of the leaf unitary groups.  In general each leaf block picks up
+    tensor multiplicity l and a full complement U(k - l*m) appears; k
+    defaults to l*m.  The descriptor is canonical as built.
     """
-    m = chain[0] if table is None else table.m
+    m, l = table.m, table.l
     if k is None:
         k = m * l
     if l < 1 or k < l * m:
         raise ContractViolation("need l >= 1 and k >= l*m")
-    if table is None:
-        table = NodeTable(m, l)
-        chain = table.kids_of(chain)
-    return OrbitDescriptor(k, flatten_units((table.unit_of(m, chain),)), k - l * m)
+    return OrbitDescriptor(k, flatten_units((table.unit_of(m, root),)), k - l * m)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +541,7 @@ def cube_report(m, l=1, k=None, cutoff=None, chains=False):
         counts = Counter(keys)  # chains per isotropy
         for key, root in dict(zip(keys, roots)).items():
             if key not in isotropies:
-                desc = stabilizer(root, l, k, table)
+                desc = stabilizer(root, table, k)
                 isotropies[key] = (desc, cartan.poincare(desc, cutoff=cutoff))
         sums[subset] = _weighted_sum([(isotropies[key][1], n) for key, n in counts.items()])
         if chains:

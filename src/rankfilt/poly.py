@@ -85,17 +85,6 @@ class Poly:
             cs[d] = cs.get(d, 0) + c
         return Poly(cs, t)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly({d: -c for d, c in self.coeffs.items()}, self.truncation)
-
-    def __sub__(self, other):
-        return self + (-_promote(other))
-
-    def __rsub__(self, other):
-        return _promote(other) - self
-
     def __mul__(self, other):
         if isinstance(other, int):
             return Poly({d: c * other for d, c in self.coeffs.items()}, self.truncation)
@@ -110,17 +99,12 @@ class Poly:
                 cs[d] = cs.get(d, 0) + c1 * c2
         return Poly(cs, t)
 
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         try:
             other = _promote(other)
         except TypeError:
             return NotImplemented
         return self.coeffs == other.coeffs and self.truncation == other.truncation
-
-    def __hash__(self):
-        return hash((frozenset(self.coeffs.items()), self.truncation))
 
     def substitute_power(self, e):
         """Replace the variable x by x^e (regrades degree d to d*e)."""
@@ -199,8 +183,6 @@ class Poly:
 def _promote(x):
     if isinstance(x, Poly):
         return x
-    if isinstance(x, int):
-        return Poly({0: x})
     raise TypeError("cannot interpret %r as a polynomial" % (x,))
 
 

@@ -60,8 +60,8 @@ def subquotient_rational_check(k, l, m, cutoff=None):
     """Verify rational triviality of the stage-m subquotient of the (k, l) spectrum.
 
     Runs the generalized cube over C^m, whose vertex isotropy comes from
-    ``decomp.stabilizer(chain, l, k)``: every leaf block carries tensor
-    multiplicity l and a complement U(k - l*m) is added.  Returns that
+    ``decomp.stabilizer`` on a node table for l: every leaf block carries
+    tensor multiplicity l and a complement U(k - l*m) is added.  Returns that
     ``decomp.CubeReport``: a failed edge or signed sum lands in it, it is
     not raised, and its ``verified`` is the stage verdict.
     """
@@ -84,6 +84,8 @@ def pi0_check(k, l):
     p = cartan.poincare(first_stage_descriptor(k, l))
     if p[0] != 1:
         raise AssertionError("first stage of (%d, %d) is not connected" % (k, l))
+    # bench/spans.py BINDINGS expects this call on the report workloads;
+    # ROADMAP items 1 and 5 change that before the loop can go
     for m in range(2, k // l + 1):
         if not decomp.connectivity(m):
             raise AssertionError("decomposition complex of C^%d is not connected" % m)

@@ -91,7 +91,10 @@ that shares no code with the engine it checks:
   checked chain tree from an unsorted one and read its component counts
   per level and its leaf dimensions, for the tests of the chain trees and
   the edge pairing in ``decomp``; ``vertex`` looks a cube vertex up by its
-  subset.
+  subset.  ``table_root`` interns a chain tree as a root of a
+  ``decomp.NodeTable``, and ``stabilizer_of`` runs ``decomp.stabilizer`` on
+  a chain tree through a fresh table: they call the engine, and check
+  nothing.
 * ``PointedMap``, ``pushforward``, ``compose_rank`` and ``compose_indices``
   spell out the functoriality of the index calculus (maps of pointed sets
   push multiplicities forward; composition multiplies ranks).  They are the
@@ -113,7 +116,7 @@ from operator import add
 
 from rankfilt.cartan import InvariantViolation
 from rankfilt.combinat import ContractViolation, partitions_into
-from rankfilt.decomp import _profiles
+from rankfilt.decomp import NodeTable, _profiles, stabilizer
 from rankfilt.linalg import sparse_rank
 from rankfilt.orbitspace import (
     Block,
@@ -425,6 +428,7 @@ def dense_rank_fractions(rows, ncols):
 
 def verify_d_squared(kc, degrees):
     """Check d(d(b)) == 0 on every full basis element of ``kc`` in ``degrees``."""
+    kc._build_chern(kc.k)
     for d in degrees:
         rows = kc._image_rows(d, invariants=False)
         rows_next = kc._image_rows(d + 1, invariants=False)
@@ -587,6 +591,19 @@ def append_lines(node, appended):
             got = appended[child] = append_lines(child, appended)
         refined.append(got)
     return (dim, tuple(refined))
+
+
+def table_root(table, tree):
+    """The children of the chain tree ``tree`` in the order of ``table``,
+    each subtree interned: the inverse of ``NodeTable.root_tree``."""
+    return table.ordered([table.node(c[0], table_root(table, c)) for c in tree[1]])
+
+
+def stabilizer_of(tree, l=1, k=None):
+    """``decomp.stabilizer`` of the chain tree ``tree``, through a fresh
+    node table for (m, ``l``)."""
+    table = NodeTable(tree[0], l)
+    return stabilizer(table_root(table, tree), table, k)
 
 
 def stabilizer_oracle(tree, l=1, k=None):

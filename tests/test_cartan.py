@@ -8,6 +8,7 @@ from oracles import (
     flag_poincare_oracle,
     full_exterior_basis,
     full_ring_minimal_generators,
+    stabilizer_of,
     structural_chain_types,
     verify_d_squared,
 )
@@ -22,7 +23,6 @@ from rankfilt.cartan import (
     poincare,
 )
 from rankfilt.combinat import ContractViolation
-from rankfilt.decomp import stabilizer
 from rankfilt.orbitspace import (
     Block,
     Bunch,
@@ -427,6 +427,7 @@ def test_differential_rank_reduces_rows_last_first(monkeypatch):
     monkeypatch.setattr(cartan_mod, "sparse_rank", lambda rows: seen.append(rows) or 0)
     for text in ["U(4)/S2wr(1)xU(2)", "U(5)/(1,2)xU(3)"]:
         kc = KoszulComplex(parse_descriptor(text))
+        kc._build_chern(kc.k)
         for degree in range(9):
             seen.clear()
             kc.differential_rank(degree)
@@ -446,7 +447,7 @@ def _with_finite_part():
         "U(6)/S2wrS2wr(1)x(2)",
     ]]
     for subset in [(), (2,), (3,), (2, 3)]:
-        found += [stabilizer(chain, 2, 8) for chain in structural_chain_types(3, subset, {})]
+        found += [stabilizer_of(chain, 2, 8) for chain in structural_chain_types(3, subset, {})]
     # descriptor -> its string, for messages
     return {d: d.canonical_string() for d in map(OrbitDescriptor.canonicalize, found)
             if "wr" in d.canonical_string()}

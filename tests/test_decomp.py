@@ -13,8 +13,10 @@ from oracles import (
     check_chain_tree,
     leaves,
     level_counts,
+    stabilizer_of,
     stabilizer_oracle,
     structural_chain_types,
+    table_root,
     vertex,
 )
 from rankfilt import cartan, decomp
@@ -133,7 +135,7 @@ def appended_tree(m, tree):
     """The engine's appended root of the chain tree ``tree``, spelled as a
     chain tree."""
     table = NodeTable(m)
-    return table.root_tree(table.refine(m, table.kids_of(tree)))
+    return table.root_tree(table.refine(m, table_root(table, tree)))
 
 
 def test_enumerate_chain_types_examples():
@@ -161,7 +163,7 @@ def test_siblings_are_ordered_by_dim_then_id():
     assert pair > two
     assert table.ordered([one, two, three, pair]) == (three, pair, two, one)
     # a structurally equal subtree is the same id
-    assert table.node(2, (one, one)) == pair and table.kids_of((2, ((1, ()), (1, ())))) == (
+    assert table.node(2, (one, one)) == pair and table_root(table, (2, ((1, ()), (1, ())))) == (
         one, one)
 
 
@@ -243,7 +245,7 @@ def test_node_table_matches_the_structural_oracle(m, l, k):
         for root, tree in zip(roots, trees):
             if m > 1 and m not in subset:
                 assert table.root_tree(table.refine(m, root)) == append_lines(tree, appended)
-            d = stabilizer(root, l, k, table)
+            d = stabilizer(root, table, k)
             assert d == stabilizer_oracle(tree, l, k), _tree_string(tree)
 
 
@@ -298,16 +300,16 @@ def test_chain_type_validation():
 
 def test_stabilizer_examples():
     pair = chain_trees(2, {2})[0]
-    assert stabilizer(pair).canonical_string() == "U(2)/S2wr(1)"
+    assert stabilizer_of(pair).canonical_string() == "U(2)/S2wr(1)"
 
     coarse = chain_trees(3, {2})[0]
-    assert stabilizer(coarse).canonical_string() == "U(3)/(1)x(2)"
+    assert stabilizer_of(coarse).canonical_string() == "U(3)/(1)x(2)"
 
     refined = chain_trees(3, {2, 3})[0]
-    assert stabilizer(refined).canonical_string() == "U(3)/(1)xS2wr(1)"
+    assert stabilizer_of(refined).canonical_string() == "U(3)/(1)xS2wr(1)"
 
     # generalized: tensor multiplicity and complement
-    assert stabilizer(refined, l=2, k=8).canonical_string() == "U(8)/(1,2)xS2wr(1,2)xU(2)"
+    assert stabilizer_of(refined, l=2, k=8).canonical_string() == "U(8)/(1,2)xS2wr(1,2)xU(2)"
 
 
 def test_stabilizer_is_unchanged_on_every_chain_type_up_to_m7():
@@ -319,7 +321,7 @@ def test_stabilizer_is_unchanged_on_every_chain_type_up_to_m7():
         for size in range(m):
             for subset in combinations(range(2, m + 1), size):
                 for c in chain_trees(m, subset):
-                    h.update(("%s %r\n" % (_tree_string(c), stabilizer(c))).encode())
+                    h.update(("%s %r\n" % (_tree_string(c), stabilizer_of(c))).encode())
                     n += 1
     assert n == 1175
     assert h.hexdigest() == "ddaca4cf9a931c2d73ff15fdd9f0b3758808f086"
@@ -345,7 +347,7 @@ def test_interned_isotropies_match_fresh_stabilizers_and_polynomials():
         memo.clear()
         fresh = {}
         for c, d, p in chains:
-            assert d == stabilizer(c, l, k), _tree_string(c)
+            assert d == stabilizer_of(c, l, k), _tree_string(c)
             if id(d) not in fresh:
                 fresh[id(d)] = cartan.poincare(d)
             assert p == fresh[id(d)], _tree_string(c)
@@ -385,7 +387,7 @@ def test_stabilizer_connected_part_of_extended_chain_is_torus():
     for m in (2, 3, 4):
         for subset in [(), (2,)]:
             for c in chain_trees(m, set(s for s in subset if 2 <= s < m)):
-                d = stabilizer(appended_tree(m, c))
+                d = stabilizer_of(appended_tree(m, c))
                 assert all(b.size == 1 and b.mult == 1 for b in d.blocks())
                 assert len(d.blocks()) == m
 
@@ -521,7 +523,7 @@ def test_two_chains_appending_to_one_tree_are_reported_not_raised(monkeypatch):
     def collide(table, dim, kids):
         # both roots of X({2}) append to the appended root of 4[2,2]
         if dim == 4 and table.root_tree(kids) in base:
-            kids = table.kids_of(base[0])
+            kids = table_root(table, base[0])
         return refine(table, dim, kids)
 
     monkeypatch.setattr(NodeTable, "refine", collide)
@@ -536,7 +538,7 @@ def test_two_chains_appending_to_one_tree_are_reported_not_raised(monkeypatch):
 
 def test_unequal_matched_polynomials_are_reported_not_raised(monkeypatch):
     real = cartan.poincare
-    point = stabilizer((3, ()))
+    point = stabilizer_of((3, ()))
     bump = Poly({0: 1, 2: 1})
 
     def perturbed(d, cutoff=None):

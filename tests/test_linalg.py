@@ -57,6 +57,7 @@ def test_koszul_rows_cross_check():
         "U(8)/S2wrS2wr(2)",
     ]:
         kc = KoszulComplex(parse_descriptor(text))
+        kc._build_chern(kc.k)
         for invariants in (True, False):
             for degree in range(9):
                 rows = kc._image_rows(degree, invariants)

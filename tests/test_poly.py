@@ -9,9 +9,7 @@ def test_basic_arithmetic():
     q = Poly({0: 1, 2: -1})
     assert (p * q) == Poly({0: 1, 4: -1})
     assert (p + q) == Poly({0: 2})
-    assert (p - p) == Poly.zero()
     assert p * 0 == Poly.zero()
-    assert (2 * p)[2] == 2
 
 
 def test_truncation_semantics():

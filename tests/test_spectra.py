@@ -103,7 +103,7 @@ def test_ku_limit_series_rank_one():
     assert s == Poly.geometric(2, 12)
     # rank-1 tuples of length t contribute t geometric series
     s3 = ku_limit_series(1, 3, 6)
-    assert s3 == 3 * Poly.geometric(2, 6)
+    assert s3 == Poly.geometric(2, 6) * 3
 
 
 def test_ku_limit_series_higher_rank():
